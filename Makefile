@@ -24,7 +24,7 @@ FLEET_USERS ?= 200000
 FLEET_OPS ?= 8000
 FLEET_HEAP_MB ?= 128
 
-.PHONY: check build vet fmt test race check-safety check-obs check-overload check-backends check-partitions check-fleet check-pipeline bench bench-gate bench-baseline
+.PHONY: check build vet fmt test race check-safety check-obs check-overload check-backends check-partitions check-fleet check-pipeline check-perfbench bench bench-gate bench-baseline
 
 check: build vet fmt race
 
@@ -116,6 +116,19 @@ check-pipeline:
 		-bench BenchmarkPipelineHandoff -benchtime 100000x -benchmem
 	$(GO) run ./cmd/hyperprof -study=pipeline -check -check-seeds $(PIPELINE_SEEDS) \
 		-chrome-trace pipeline-trace.json
+
+# check-perfbench proves the study-level benchmark: the harness's own tests
+# (perfbench/ is a module of its own, so `go test ./...` skips them) and a
+# short run of every workload, which fails unless the last line reports
+# "correct":true — every run's export digest matched perfbench/pins.json and
+# its other-process twin. A change that moves any study's bytes goes red here.
+check-perfbench:
+	cd perfbench && $(GO) test .
+	@for w in char overload fleet pipeline; do \
+		out="$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 5 --trace 0)" || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "perfbench: $$w is not correct"; exit 1; }; \
+	done
 
 # bench runs the DES-kernel substrate microbenchmarks into BENCH_1.json and
 # diffs the result against the committed BENCH_0.json baseline — a soft gate

@@ -8,13 +8,16 @@ package hyperprof
 // Run with: go test -bench=. -benchmem
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"hyperprof/internal/bigtable"
 	"hyperprof/internal/compress"
 	"hyperprof/internal/experiments"
 	"hyperprof/internal/model"
+	"hyperprof/internal/platform"
 	"hyperprof/internal/protowire"
 	"hyperprof/internal/sha3"
 	"hyperprof/internal/sim"
@@ -642,6 +645,52 @@ func BenchmarkCompress(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := compress.Encode(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// bootstrapShapedBlock builds a block shaped like a BigTable base SSTable:
+// rows of "t0/k<row>" keys, each followed by valueBytes of per-row
+// pseudo-random noise with a deterministic first byte.
+func bootstrapShapedBlock(rows, valueBytes int) []byte {
+	src := make([]byte, 0, rows*(valueBytes+8))
+	for i := 0; i < rows; i++ {
+		src = fmt.Appendf(src, "t0/k%d", i)
+		src = append(src, byte(i*17))
+		x := uint64(i)*40503 + 12345
+		for j := 1; j < valueBytes; j++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			src = append(src, byte(x>>33))
+		}
+	}
+	return src
+}
+
+// BenchmarkCompressEncodedLen measures the size-only codec pass that sizes
+// SSTables, on one 3 MiB base-table-shaped block. It must not allocate.
+func BenchmarkCompressEncodedLen(b *testing.B) {
+	src := bootstrapShapedBlock(3000, 1024)
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if compress.EncodedLen(src) <= 0 {
+			b.Fatal("empty encoding")
+		}
+	}
+}
+
+// BenchmarkBigTableNew measures building a DefaultConfig BigTable
+// deployment: placing tablets and bootstrapping and sealing their base
+// SSTables. Building the environment is not timed.
+func BenchmarkBigTableNew(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		env := platform.NewEnv(1, 1)
+		b.StartTimer()
+		if _, err := bigtable.New(env, bigtable.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

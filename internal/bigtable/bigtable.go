@@ -9,7 +9,8 @@ package bigtable
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"time"
 
 	"hyperprof/internal/bloom"
@@ -135,6 +136,9 @@ type DB struct {
 	// for the duplicate-replay check.
 	brokenReplayDup bool
 
+	// sealBuf is the scratch every SSTable seal of this deployment reuses.
+	sealBuf sealScratch
+
 	// Counters for tests and reports.
 	Gets, Puts, Scans, MinorCompactions, MajorCompactions int
 	// Reassignments counts tablets moved off a failed server; Recoveries
@@ -172,30 +176,39 @@ type sstable struct {
 	filter *bloom.Filter
 }
 
+// sealScratch holds the buffers seal reuses from one SSTable to the next.
+// Each DB owns one: seal never parks, so no two seals of a DB overlap.
+type sealScratch struct {
+	keys []string
+	raw  []byte
+}
+
 // seal finalizes an sstable: it builds the Bloom filter over its keys and
-// block-compresses its contents (real codec) to size the DFS file.
-func (s *sstable) seal() {
+// sizes the DFS file as the real codec's block compression of its sorted
+// contents. Only the compressed size is kept, so the codec runs size-only
+// and the concatenated block lives in the reused scratch buffer.
+func (s *sstable) seal(sc *sealScratch) {
 	s.filter = bloom.New(len(s.data)+1, 0.01)
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
+	keys := sc.keys[:0]
+	size := 0
+	for k, v := range s.data {
 		keys = append(keys, k)
+		size += len(k) + len(v)
 	}
-	sort.Strings(keys)
-	var raw []byte
+	slices.Sort(keys)
+	raw := slices.Grow(sc.raw[:0], size)
 	for _, k := range keys {
 		s.filter.Add(k)
 		raw = append(raw, k...)
 		raw = append(raw, s.data[k]...)
 	}
+	sc.keys, sc.raw = keys, raw
 	s.rawBytes = int64(len(raw))
-	enc, err := compress.Encode(raw)
-	if err != nil {
-		panic(fmt.Sprintf("bigtable: seal: %v", err))
+	n := compress.EncodedLen(raw)
+	if n < 0 {
+		panic(fmt.Sprintf("bigtable: seal: block of %d bytes exceeds the codec limit", len(raw)))
 	}
-	s.bytes = int64(len(enc))
-	if s.bytes == 0 {
-		s.bytes = 1
-	}
+	s.bytes = max(int64(n), 1)
 }
 
 // logRec is one commit-log record: a sequenced mutation that survives a
@@ -368,12 +381,19 @@ func (db *DB) load() error {
 		}
 		base := &sstable{
 			file: fmt.Sprintf("bt/tablet%d/base", t),
-			data: map[string][]byte{},
+			data: make(map[string][]byte, db.cfg.RowsPerTablet),
 		}
+		// One slab per tablet holds every bootstrap value; each row gets a
+		// capped window of it, so appending to one row never spills into
+		// the next.
+		n := int(db.cfg.ValueBytes)
+		slab := make([]byte, db.cfg.RowsPerTablet*n)
 		for i := 0; i < db.cfg.RowsPerTablet; i++ {
-			base.data[rowKey(t, i)] = bootstrapValue(t, i, int(db.cfg.ValueBytes))
+			val := slab[i*n : (i+1)*n : (i+1)*n]
+			bootstrapValue(val, t, i)
+			base.data[rowKey(t, i)] = val
 		}
-		base.seal()
+		base.seal(&db.sealBuf)
 		if _, err := db.dfs.Create(base.file, base.bytes); err != nil {
 			return err
 		}
@@ -384,25 +404,61 @@ func (db *DB) load() error {
 	return nil
 }
 
-func rowKey(tablet, row int) string { return fmt.Sprintf("t%d/k%d", tablet, row) }
+// rowKey names row `row` of tablet t: "t<tablet>/k<row>".
+func rowKey(tablet, row int) string {
+	var buf [24]byte
+	b := append(buf[:0], 't')
+	b = strconv.AppendInt(b, int64(tablet), 10)
+	b = append(b, "/k"...)
+	b = strconv.AppendInt(b, int64(row), 10)
+	return string(b)
+}
 
-// bootstrapValue generates a row's initial content: a deterministic first
-// byte (tests and scan predicates rely on it) followed by incompressible
-// per-row noise — bootstrap data models already-compressed historical
-// payloads, so base SSTables do not shrink further under block compression.
-func bootstrapValue(t, i, n int) []byte {
-	val := make([]byte, n)
-	if n == 0 {
-		return val
+// bootstrapValue fills val with row i of tablet t's initial content: a
+// deterministic first byte (tests and scan predicates rely on it) followed
+// by incompressible per-row noise — bootstrap data models already-compressed
+// historical payloads, so base SSTables do not shrink further under block
+// compression.
+func bootstrapValue(val []byte, t, i int) {
+	if len(val) == 0 {
+		return
 	}
 	val[0] = byte(uint64(t)*11 + uint64(i)*17)
-	x := uint64(t)*2654435761 + uint64(i)*40503 + 12345
-	for j := 1; j < n; j++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		val[j] = byte(x >> 33)
+	// The noise is one LCG stream, byte j taken from state j. Four cursors
+	// on consecutive states, each jumping four states per step, produce the
+	// same bytes through four independent multiply chains.
+	x0 := (uint64(t)*2654435761+uint64(i)*40503+12345)*lcgA + lcgC
+	x1 := x0*lcgA + lcgC
+	x2 := x1*lcgA + lcgC
+	x3 := x2*lcgA + lcgC
+	j := 1
+	for ; j+4 <= len(val); j += 4 {
+		v := val[j : j+4 : j+4]
+		v[0], v[1], v[2], v[3] = byte(x0>>33), byte(x1>>33), byte(x2>>33), byte(x3>>33)
+		x0 = x0*lcgA4 + lcgC4
+		x1 = x1*lcgA4 + lcgC4
+		x2 = x2*lcgA4 + lcgC4
+		x3 = x3*lcgA4 + lcgC4
 	}
-	return val
+	for _, x := range [...]uint64{x0, x1, x2} {
+		if j == len(val) {
+			break
+		}
+		val[j] = byte(x >> 33)
+		j++
+	}
 }
+
+// The bootstrap noise LCG, x -> lcgA*x + lcgC, and its four-step jump
+// x -> lcgA4*x + lcgC4 (two squarings of the step, mod 2^64).
+const (
+	lcgA  = 6364136223846793005
+	lcgC  = 1442695040888963407
+	lcgA2 = lcgA * lcgA % (1 << 64)
+	lcgC2 = lcgC * (lcgA + 1) % (1 << 64)
+	lcgA4 = lcgA2 * lcgA2 % (1 << 64)
+	lcgC4 = lcgC2 * (lcgA2 + 1) % (1 << 64)
+)
 
 // NumTablets returns the tablet count.
 func (db *DB) NumTablets() int { return db.cfg.Tablets }
@@ -652,7 +708,7 @@ func (db *DB) flush(tab *tablet) {
 
 	db.env.K.Go("bt-minor-compaction", func(p *sim.Proc) {
 		db.env.ExecRecipe(p, taxonomy.BigTable, tab.server.Node, nil, db.minorRecipe)
-		snap.seal() // real block compression + Bloom filter
+		snap.seal(&db.sealBuf) // real block compression + Bloom filter
 		db.CompressedBytes += snap.bytes
 		db.RawBytes += snap.rawBytes
 		if _, err := db.dfs.Create(snap.file, snap.bytes); err != nil {
@@ -737,7 +793,7 @@ func (db *DB) major(tab *tablet) {
 		}
 		p.Sleep(readTime)
 		db.env.ExecRecipe(p, taxonomy.BigTable, tab.server.Node, nil, db.majorRecipe)
-		merged.seal()
+		merged.seal(&db.sealBuf)
 		if _, err := db.dfs.Create(merged.file, merged.bytes); err != nil {
 			panic(fmt.Sprintf("bigtable: major write: %v", err))
 		}

@@ -21,6 +21,14 @@ func (db *DB) SetRecorder(h *check.History) { db.rec = h }
 // Recorder returns the attached recorder, if any.
 func (db *DB) Recorder() *check.History { return db.rec }
 
+// bootstrapDigest is the digest of row `row`'s bootstrap content in tablet
+// t, the initial value the recorder checks reads against.
+func (db *DB) bootstrapDigest(t, row int) uint64 {
+	val := make([]byte, db.cfg.ValueBytes)
+	bootstrapValue(val, t, row)
+	return check.Digest(val)
+}
+
 // Get returns the current value of row `row` in tablet t.
 func (db *DB) Get(p *sim.Proc, tr *trace.Trace, t, row int) ([]byte, error) {
 	// Front-door gate before anything else: a shed operation never executes
@@ -33,7 +41,7 @@ func (db *DB) Get(p *sim.Proc, tr *trace.Trace, t, row int) ([]byte, error) {
 	var op *check.Op
 	if db.rec != nil && t >= 0 && t < len(db.tablets) && row >= 0 && row < db.cfg.RowsPerTablet {
 		key := rowKey(t, row)
-		db.rec.Initial(key, check.Digest(bootstrapValue(t, row, int(db.cfg.ValueBytes))))
+		db.rec.Initial(key, db.bootstrapDigest(t, row))
 		op = db.rec.Invoke(p.Name(), "read", key, 0)
 	}
 	start := p.Now()
@@ -60,7 +68,7 @@ func (db *DB) Put(p *sim.Proc, tr *trace.Trace, t, row int, value []byte) error 
 	var op *check.Op
 	if db.rec != nil && t >= 0 && t < len(db.tablets) && row >= 0 && row < db.cfg.RowsPerTablet {
 		key := rowKey(t, row)
-		db.rec.Initial(key, check.Digest(bootstrapValue(t, row, int(db.cfg.ValueBytes))))
+		db.rec.Initial(key, db.bootstrapDigest(t, row))
 		op = db.rec.Invoke(p.Name(), "write", key, check.Digest(value))
 	}
 	start := p.Now()

@@ -11,8 +11,10 @@
 package compress
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Errors returned by Decode.
@@ -42,10 +44,6 @@ const (
 
 func hash4(u uint32) uint32 { return (u * 0x1e35a7bd) >> (32 - hashTableBits) }
 
-func load32(b []byte, i int) uint32 {
-	return uint32(b[i]) | uint32(b[i+1])<<8 | uint32(b[i+2])<<16 | uint32(b[i+3])<<24
-}
-
 // MaxEncodedLen returns the worst-case encoded size for srcLen input bytes.
 func MaxEncodedLen(srcLen int) int {
 	// Varint header (up to 5 bytes) plus literal overhead: one tag byte and
@@ -59,48 +57,107 @@ func Encode(src []byte) ([]byte, error) {
 	if len(src) > MaxBlockSize {
 		return nil, fmt.Errorf("compress: block of %d bytes exceeds limit", len(src))
 	}
-	dst := make([]byte, 0, MaxEncodedLen(len(src)))
-	dst = appendUvarint(dst, uint64(len(src)))
+	k := sink{emit: true, dst: make([]byte, 0, MaxEncodedLen(len(src)))}
+	k.dst = appendUvarint(k.dst, uint64(len(src)))
+	encodeBlock(&k, src)
+	return k.dst, nil
+}
+
+// EncodedLen returns len(Encode(src)) without materializing the output: the
+// same matcher runs, but its elements are only measured. Callers that need
+// a block's compressed size and not its bytes (SSTable sizing) skip the
+// output buffer and its writes. It returns -1 for inputs Encode rejects.
+func EncodedLen(src []byte) int {
+	if len(src) > MaxBlockSize {
+		return -1
+	}
+	var hdr [binary.MaxVarintLen64]byte
+	k := sink{n: binary.PutUvarint(hdr[:], uint64(len(src)))}
+	encodeBlock(&k, src)
+	return k.n
+}
+
+// sink receives the matcher's elements. With emit set it appends their
+// encoding to dst; otherwise it only adds their encoded sizes to n.
+type sink struct {
+	emit bool
+	dst  []byte
+	n    int
+}
+
+func (k *sink) literal(lit []byte) {
+	if k.emit {
+		k.dst = emitLiteral(k.dst, lit)
+	} else {
+		k.n += literalLen(len(lit))
+	}
+}
+
+func (k *sink) copy(offset, length int) {
+	if k.emit {
+		k.dst = emitCopy(k.dst, offset, length)
+	} else {
+		k.n += copyLen(offset, length)
+	}
+}
+
+// encodeBlock is the one match loop behind Encode and EncodedLen. It hashes
+// every 4-byte window; a window matching the last position with its hash
+// becomes a copy, extended as far as the input agrees, and the bytes between
+// copies become literals.
+//
+// Each table entry packs a position (plus one, so the zero entry is empty)
+// in its low 32 bits and the 4 bytes found there in its high 32 bits, so a
+// hash collision is rejected without reloading src at the candidate.
+func encodeBlock(k *sink, src []byte) {
 	if len(src) == 0 {
-		return dst, nil
+		return
 	}
 	if len(src) < minMatch+inputMargin {
-		return emitLiteral(dst, src), nil
+		k.literal(src)
+		return
 	}
 
-	var table [hashTableSize]int32
-	for i := range table {
-		table[i] = -1
-	}
+	var table [hashTableSize]uint64
 	// s is the next position to check; lit is the start of the pending
 	// literal run.
 	s, lit := 0, 0
 	limit := len(src) - inputMargin
 	for s < limit {
-		h := hash4(load32(src, s))
-		cand := table[h]
-		table[h] = int32(s)
-		if cand < 0 || load32(src, int(cand)) != load32(src, s) {
+		cur := binary.LittleEndian.Uint32(src[s:])
+		h := hash4(cur)
+		e := table[h]
+		table[h] = uint64(cur)<<32 | uint64(s+1)
+		if uint32(e) == 0 || uint32(e>>32) != cur {
 			s++
 			continue
 		}
-		// Extend the match forward.
-		matchStart := int(cand)
+		// Extend the match forward 8 bytes at a time while both windows fit,
+		// stopping at the first differing byte; the byte loop then finishes
+		// a match that runs into the last 8 bytes.
+		matchStart := int(uint32(e)) - 1
 		length := minMatch
+		for s+length+8 <= len(src) {
+			x := binary.LittleEndian.Uint64(src[s+length:]) ^ binary.LittleEndian.Uint64(src[matchStart+length:])
+			if x != 0 {
+				length += bits.TrailingZeros64(x) >> 3
+				break
+			}
+			length += 8
+		}
 		for s+length < len(src) && src[matchStart+length] == src[s+length] {
 			length++
 		}
 		if lit < s {
-			dst = emitLiteral(dst, src[lit:s])
+			k.literal(src[lit:s])
 		}
-		dst = emitCopy(dst, s-matchStart, length)
+		k.copy(s-matchStart, length)
 		s += length
 		lit = s
 	}
 	if lit < len(src) {
-		dst = emitLiteral(dst, src[lit:])
+		k.literal(src[lit:])
 	}
-	return dst, nil
 }
 
 func appendUvarint(dst []byte, v uint64) []byte {
@@ -111,12 +168,16 @@ func appendUvarint(dst []byte, v uint64) []byte {
 	return append(dst, byte(v))
 }
 
+// maxLiteralChunk is the longest literal one element carries; longer runs
+// are split.
+const maxLiteralChunk = 1 << 24
+
 // emitLiteral appends a literal element.
 func emitLiteral(dst, lit []byte) []byte {
 	for len(lit) > 0 {
 		chunk := lit
-		if len(chunk) > 1<<24 {
-			chunk = chunk[:1<<24]
+		if len(chunk) > maxLiteralChunk {
+			chunk = chunk[:maxLiteralChunk]
 		}
 		n := len(chunk) - 1
 		switch {
@@ -135,6 +196,27 @@ func emitLiteral(dst, lit []byte) []byte {
 	return dst
 }
 
+// literalLen is the number of bytes emitLiteral appends for a run of n.
+func literalLen(n int) int {
+	size := 0
+	for n > 0 {
+		chunk := min(n, maxLiteralChunk)
+		switch m := chunk - 1; {
+		case m < 60:
+			size++
+		case m < 1<<8:
+			size += 2
+		case m < 1<<16:
+			size += 3
+		default:
+			size += 4
+		}
+		size += chunk
+		n -= chunk
+	}
+	return size
+}
+
 // emitCopy appends copy elements for a match of the given offset and length.
 func emitCopy(dst []byte, offset, length int) []byte {
 	// Long matches are split; Snappy's copy-2 covers length 1..64.
@@ -146,6 +228,19 @@ func emitCopy(dst []byte, offset, length int) []byte {
 		dst = emitOneCopy(dst, offset, length)
 	}
 	return dst
+}
+
+// copyLen is the number of bytes emitCopy appends for the same match.
+func copyLen(offset, length int) int {
+	size := 0
+	for length > 64 {
+		size += oneCopyLen(offset, 64)
+		length -= 64
+	}
+	if length > 0 {
+		size += oneCopyLen(offset, length)
+	}
+	return size
 }
 
 func emitOneCopy(dst []byte, offset, length int) []byte {
@@ -163,6 +258,18 @@ func emitOneCopy(dst []byte, offset, length int) []byte {
 	dst = append(dst, byte(length-1)<<2|tagCopy4,
 		byte(offset), byte(offset>>8), byte(offset>>16), byte(offset>>24))
 	return dst
+}
+
+// oneCopyLen is the size of the element emitOneCopy appends.
+func oneCopyLen(offset, length int) int {
+	switch {
+	case offset < 1<<11 && length >= 4 && length <= 11:
+		return 2
+	case offset < 1<<16:
+		return 3
+	default:
+		return 5
+	}
 }
 
 // DecodedLen returns the uncompressed length declared in the block header.

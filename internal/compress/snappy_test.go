@@ -2,7 +2,9 @@ package compress
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,6 +115,82 @@ func TestRoundTripStructuredProperty(t *testing.T) {
 			}
 		}
 		roundTrip(t, src)
+	}
+}
+
+// TestEncodedLenMatchesEncode checks the size-only pass against the
+// encoder across every element form: short and long literals (including one
+// past the 16 MiB chunk limit), copy-1/2/4 offsets and long split copies.
+func TestEncodedLenMatchesEncode(t *testing.T) {
+	rng := stats.NewRNG(19)
+	random := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Uint64())
+		}
+		return b
+	}
+	far := random(100 << 10)
+	far = append(far, far[:80<<10]...) // copy-4: offsets past 64 KiB
+	cases := [][]byte{
+		nil,
+		[]byte("a"),
+		[]byte(strings.Repeat("abcd", 100)),
+		bytes.Repeat([]byte{0}, 10000),
+		random(64 << 10),
+		far,
+		[]byte(strings.Repeat("hyperscale data processing ", 2000)),
+	}
+	if !testing.Short() {
+		cases = append(cases, random(17<<20)) // literal split at 1<<24
+	}
+	for i, src := range cases {
+		enc := roundTrip(t, src)
+		if n := EncodedLen(src); n != len(enc) {
+			t.Errorf("case %d (%d bytes): EncodedLen = %d, len(Encode) = %d", i, len(src), n, len(enc))
+		}
+	}
+}
+
+// TestEncodedLenAllocFree pins that sizing a block allocates nothing: the
+// hash table lives on the stack and no output is built.
+func TestEncodedLenAllocFree(t *testing.T) {
+	src := []byte(strings.Repeat("hyperscale data processing ", 400))
+	if allocs := testing.AllocsPerRun(10, func() { EncodedLen(src) }); allocs != 0 {
+		t.Fatalf("EncodedLen allocated %.0f times per call, want 0", allocs)
+	}
+}
+
+// TestEncodeGoldenDigest pins the encoder's exact output bytes, recorded
+// before the matcher's wide loads and stored-value hash table, on a block
+// mixing incompressible runs, repeats at every offset class and text.
+func TestEncodeGoldenDigest(t *testing.T) {
+	rng := stats.NewRNG(23)
+	var src []byte
+	for len(src) < 256<<10 {
+		switch rng.Intn(3) {
+		case 0:
+			for n := 1 + rng.Intn(400); n > 0; n-- {
+				src = append(src, byte(rng.Uint64()))
+			}
+		case 1:
+			if len(src) > 8 {
+				off := 1 + rng.Intn(len(src)-4)
+				for n := 1 + rng.Intn(300); n > 0; n-- {
+					src = append(src, src[len(src)-off])
+				}
+			}
+		case 2:
+			src = append(src, "hyperscale data processing "...)
+		}
+	}
+	enc, err := Encode(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "171804 72c8829aa80c17bf82462a72c8b13daf7d6e7166b78e9aa98ffa64365e0ca411"
+	if got := fmt.Sprintf("%d %x", len(enc), sha256.Sum256(enc)); got != want {
+		t.Fatalf("Encode output = %s, want %s", got, want)
 	}
 }
 

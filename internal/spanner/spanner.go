@@ -10,6 +10,7 @@ package spanner
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"hyperprof/internal/check"
@@ -390,7 +391,15 @@ func (db *DB) lookupRow(rep *replica, g, row int) ([]byte, error) {
 	return db.bootstrapValue(g, row), nil
 }
 
-func rowKey(group, row int) string { return fmt.Sprintf("g%d/r%d", group, row) }
+// rowKey names row `row` of group g: "g<group>/r<row>".
+func rowKey(group, row int) string {
+	var buf [24]byte
+	b := append(buf[:0], 'g')
+	b = strconv.AppendInt(b, int64(group), 10)
+	b = append(b, "/r"...)
+	b = strconv.AppendInt(b, int64(row), 10)
+	return string(b)
+}
 
 // NumGroups returns the number of tablet groups.
 func (db *DB) NumGroups() int { return db.cfg.Groups }

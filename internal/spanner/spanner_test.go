@@ -3,6 +3,7 @@ package spanner
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -375,4 +376,12 @@ func TestStopReplicaValidation(t *testing.T) {
 	}
 	db.Stop()
 	env.K.Run()
+}
+
+func TestRowKeyMatchesFormat(t *testing.T) {
+	for _, c := range [][2]int{{0, 0}, {1, 5}, {7, 2999}, {12, 100000}, {123456, 987654321}} {
+		if got, want := rowKey(c[0], c[1]), fmt.Sprintf("g%d/r%d", c[0], c[1]); got != want {
+			t.Errorf("rowKey(%d, %d) = %q, want %q", c[0], c[1], got, want)
+		}
+	}
 }

@@ -39,16 +39,14 @@ func (c *lruCache) Peek(key string) bool {
 }
 
 // Add inserts or refreshes key with the given size, evicting LRU entries to
-// fit. It returns the evicted keys (oldest first). Entries larger than the
-// whole capacity are not cached.
-func (c *lruCache) Add(key string, size int64) (evicted []string) {
+// fit. Entries larger than the whole capacity are not cached.
+func (c *lruCache) Add(key string, size int64) {
 	if size > c.capacity {
 		// Too big to ever fit; also drop a stale smaller entry if present.
 		if e, ok := c.entries[key]; ok {
 			c.remove(e)
-			evicted = append(evicted, key)
 		}
-		return evicted
+		return
 	}
 	if e, ok := c.entries[key]; ok {
 		c.used += size - e.size
@@ -61,11 +59,8 @@ func (c *lruCache) Add(key string, size int64) (evicted []string) {
 		c.used += size
 	}
 	for c.used > c.capacity && c.tail != nil {
-		victim := c.tail
-		c.remove(victim)
-		evicted = append(evicted, victim.key)
+		c.remove(c.tail)
 	}
-	return evicted
 }
 
 // Remove deletes key if present.

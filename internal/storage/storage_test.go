@@ -57,12 +57,10 @@ func TestLRUBasics(t *testing.T) {
 	}
 	// Touch "a" so "b" is least recently used; adding 40 more evicts "b".
 	c.Contains("a")
-	evicted := c.Add("c", 40)
-	if len(evicted) != 1 || evicted[0] != "b" {
-		t.Fatalf("evicted = %v, want [b]", evicted)
-	}
-	if c.Contains("b") {
-		t.Fatal("b should be evicted")
+	c.Add("c", 40)
+	if c.Peek("b") || !c.Peek("a") || !c.Peek("c") || c.Len() != 2 {
+		t.Fatalf("after adding c: a=%v b=%v c=%v len=%d, want b evicted",
+			c.Peek("a"), c.Peek("b"), c.Peek("c"), c.Len())
 	}
 }
 
@@ -83,9 +81,9 @@ func TestLRUOversizedEntryNotCached(t *testing.T) {
 	}
 	// Replacing an existing entry with an oversized one drops it.
 	c.Add("x", 50)
-	ev := c.Add("x", 500)
-	if c.Peek("x") || len(ev) != 1 {
-		t.Fatalf("stale entry kept, evicted=%v", ev)
+	c.Add("x", 500)
+	if c.Peek("x") || c.Len() != 0 || c.Used() != 0 {
+		t.Fatalf("stale entry kept: len=%d used=%d", c.Len(), c.Used())
 	}
 }
 
