@@ -47,60 +47,60 @@ race:
 	$(GO) test -race -shuffle=on ./...
 
 check-safety:
-	$(GO) run ./cmd/hyperprof -check -check-seeds $(SAFETY_SEEDS)
+	$(GO) run ./cmd/hyperprof -study=safety -check-seeds $(SAFETY_SEEDS)
 
 # check-obs proves the observability plane: unit tests with zero-allocation
 # assertions on the metric record paths, the byte-for-byte sequential-vs-
-# parallel export determinism test, and an end-to-end -obs run emitting the
+# parallel export determinism test, and an end-to-end -study=obs run emitting the
 # JSON time series and Chrome counter tracks.
 check-obs:
 	$(GO) test ./internal/obs/ ./internal/trace/
 	$(GO) test ./internal/experiments/ -run TestObsStudyParallelMatchesSequentialByteForByte
-	$(GO) run ./cmd/hyperprof -obs -spanner 200 -bigtable 200 -bigquery 30 \
+	$(GO) run ./cmd/hyperprof -study=obs -spanner 200 -bigtable 200 -bigquery 30 \
 		-obs-out obs-series.json -chrome-trace obs-trace.json
 
 # check-overload proves the overload control plane: the admission, retry
 # budget, circuit breaker and tenant QoS unit tests (including the retry-storm
 # metastability reproduction) in netsim plus the trigger scenarios in faults,
 # the byte-for-byte sequential-vs-parallel overload study determinism test,
-# and an end-to-end -overload run emitting the JSON report.
+# and an end-to-end -study=overload run emitting the JSON report.
 check-overload:
 	$(GO) test ./internal/netsim/ ./internal/faults/ ./internal/workload/
 	$(GO) test -race ./internal/netsim/ -run 'TestRetryStormMetastability|TestOverloadRunDeterministic'
 	$(GO) test ./internal/experiments/ -run TestOverloadStudy
-	$(GO) run ./cmd/hyperprof -overload -json > overload.json
+	$(GO) run ./cmd/hyperprof -study=overload -json > overload.json
 
 # check-backends proves the execution-backend abstraction: the dispatch
 # protocol and crash/timeout/retry tests, the byte-for-byte cross-backend
-# determinism tests (in-process vs pool vs exec for every remotable study),
-# and an end-to-end safety torture through real `hyperprof -worker`
-# subprocesses.
+# determinism tests (in-process vs exec for every remotable study), the unit
+# registry's JSON round-trip test, and an end-to-end safety torture through
+# real `hyperprof -worker` subprocesses.
 check-backends:
 	$(GO) test ./internal/dispatch/
-	$(GO) test ./internal/experiments/ -run 'AcrossBackends|Backend|ExecWorker|RunUnit'
-	$(GO) run ./cmd/hyperprof -check -check-seeds $(BACKEND_SEEDS) -backend=exec -workers 2
+	$(GO) test ./internal/experiments/ -run 'AcrossBackends|Backend|ExecWorker|RunUnit|UnitRegistry'
+	$(GO) run ./cmd/hyperprof -study=safety -check-seeds $(BACKEND_SEEDS) -backend=exec -workers 2
 
 # check-partitions proves split-brain safety: the per-link fault plane and
 # clock-model unit tests (including the zero-allocation messageDelay guard),
 # the nemesis schedule pairing/determinism property tests, the multi-seed
 # safety-under-partition study tests with broken-knob conviction at -short,
-# and an end-to-end -partition -check sweep (nonzero exit on any violation
+# and an end-to-end -study=partition -check sweep (nonzero exit on any violation
 # outside the broken demonstration arms) emitting the JSON report.
 check-partitions:
 	$(GO) test ./internal/netsim/ ./internal/sim/ ./internal/check/
 	$(GO) test -short ./internal/faults/ -run 'TestNemesis|TestSkippedUnknownTarget'
 	$(GO) test -short ./internal/experiments/ -run 'TestPartitionStudy|TestRenderPartition'
-	$(GO) run ./cmd/hyperprof -partition -check -check-seeds $(PARTITION_SEEDS) -json > partition.json
+	$(GO) run ./cmd/hyperprof -study=partition -check -check-seeds $(PARTITION_SEEDS) -json > partition.json
 
 # check-fleet proves the bounded-memory fleet plane: the quantile-sketch
 # accuracy/merge property tests, the reservoir-sampling soundness tests, the
 # sketch-mode byte-identity tests (sequential vs parallel and in-process vs
-# pool vs exec workers), the flat-heap unit test, and an end-to-end reduced
+# exec workers), the flat-heap unit test, and an end-to-end reduced
 # fleet characterization under a runtime.ReadMemStats heap ceiling.
 check-fleet:
 	$(GO) test ./internal/stats/ ./internal/check/ ./internal/workload/
 	$(GO) test ./internal/experiments/ -run 'TestFleetScaleDeterministic|TestFleetScaleBackends|TestFleetSketchHeapFlat|TestFleetScaleExactMode'
-	$(GO) run ./cmd/hyperprof -fleet -fleet-servers $(FLEET_SERVERS) -fleet-users $(FLEET_USERS) \
+	$(GO) run ./cmd/hyperprof -study=fleet -fleet-servers $(FLEET_SERVERS) -fleet-users $(FLEET_USERS) \
 		-fleet-ops $(FLEET_OPS) -fleet-heap-mb $(FLEET_HEAP_MB)
 
 # check-pipeline proves the cross-platform pipeline: the byte-for-byte

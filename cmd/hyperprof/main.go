@@ -12,21 +12,21 @@
 //	                   analytics → Spanner serving in ONE simulation, with
 //	                   end-to-end spans and exactly-once handoff checking
 //
-// The legacy mode booleans (-faults, -check, -overload, -partition, -fleet,
-// standalone -obs) still work as aliases but print a deprecation note;
-// -pipeline is shorthand for -study=pipeline. All studies share one flag
-// group that overlays the unified StudyConfig, plus small per-study groups
-// (-fleet-*, -records/-batches/-iterations).
+// All studies share one flag group that overlays the unified StudyConfig,
+// plus small per-study groups (-fleet-*, -records/-batches/-iterations).
+// Two flags modify a study rather than select one: -obs instruments it with
+// the observability plane, and -check adds the broken-knob demonstration
+// arms to -study=partition and -study=pipeline.
 //
 // Usage:
 //
 //	hyperprof [-study=<name>] [-seed N] [-spanner N] [-bigtable N]
 //	          [-bigquery N] [-clients N] [-rate N] [-parallel N]
-//	          [-backend pool|exec] [-workers N] [-unit-timeout D] [...]
+//	          [-backend exec] [-workers N] [-unit-timeout D] [...]
 //
 // With -backend=exec the process re-invokes itself as `hyperprof -worker`
 // subprocesses and fans the study's work units across them; outputs are
-// byte-identical to the in-process backends.
+// byte-identical to the in-process default.
 package main
 
 import (
@@ -74,13 +74,13 @@ func registerStudyFlags() *studyFlags {
 		clients:     flag.Int("clients", 0, "closed-loop clients per platform (0 = study default)"),
 		rate:        flag.Int("rate", 0, "trace sampling rate, keep 1/rate (0 = study default)"),
 		parallel:    flag.Int("parallel", 0, "concurrent simulation kernels (0 = one per CPU, 1 = sequential); outputs are identical either way"),
-		checkSeeds:  flag.Int("check-seeds", 0, "with -check: faulted runs per platform (0 = default)"),
-		obs:         flag.Bool("obs", false, "enable the observability plane (sim-clock metrics + continuous profiling); standalone it selects the observability study, with -faults it instruments the faulted arms"),
+		checkSeeds:  flag.Int("check-seeds", 0, "with -study=safety, partition or pipeline: faulted seeds per platform (0 = study default)"),
+		obs:         flag.Bool("obs", false, "enable the observability plane (sim-clock metrics + continuous profiling) for the selected study"),
 		obsInterval: flag.Duration("obs-interval", 0, "virtual-time metrics sampling period (0 = study default)"),
 		obsOut:      flag.String("obs-out", "obs-series.json", "with -obs: write the metric time series as JSON to this file"),
 		burst:       flag.Bool("burst", false, "shape arrivals/think times with self-similar Pareto on-off bursts (overload and resilience studies)"),
 		diurnal:     flag.Bool("diurnal", false, "shape arrivals/think times with a sinusoidal diurnal envelope (overload and resilience studies)"),
-		backend:     flag.String("backend", "", `execution backend: "" (in-process), "pool" (in-process via the serialized unit registry) or "exec" (hyperprof -worker subprocesses); outputs are identical across backends`),
+		backend:     flag.String("backend", "", `execution backend: "" (in-process) or "exec" (hyperprof -worker subprocesses); outputs are identical across backends`),
 		workers:     flag.Int("workers", 0, "with -backend=exec: worker subprocesses (0 = match -parallel)"),
 		unitTimeout: flag.Duration("unit-timeout", 0, "with -backend=exec: kill a worker whose unit exceeds this wall-clock duration (0 = none)"),
 	}
@@ -127,25 +127,20 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("hyperprof: ")
 	sf := registerStudyFlags()
-	studySel := flag.String("study", "", "study to run: char, safety, resilience, obs, overload, partition, fleet or pipeline (empty = char, or whichever legacy mode flag is set)")
+	studySel := flag.String("study", "char", "study to run: char, safety, resilience, obs, overload, partition, fleet or pipeline")
 	jsonOut := flag.Bool("json", false, "emit the full report as JSON instead of text tables")
 	chromeOut := flag.String("chrome-trace", "", "also write sampled traces to this file in Chrome trace-event format (view in Perfetto)")
 	topN := flag.Int("top", 0, "also print the N hottest leaf functions per platform")
 	pprofPrefix := flag.String("pprof", "", "also write per-platform profiles as <prefix>-<platform>.pb.gz (inspect with go tool pprof)")
-	faultsRun := flag.Bool("faults", false, "deprecated alias for -study=resilience")
-	overloadRun := flag.Bool("overload", false, "deprecated alias for -study=overload")
-	checkRun := flag.Bool("check", false, "deprecated alias for -study=safety when standalone; with -study=partition or -study=pipeline it includes the broken-knob demonstration arms the checkers must convict")
-	partitionRun := flag.Bool("partition", false, "deprecated alias for -study=partition")
-	fleetRun := flag.Bool("fleet", false, "deprecated alias for -study=fleet")
-	pipelineRun := flag.Bool("pipeline", false, "shorthand for -study=pipeline: BigTable ingest -> BigQuery analytics -> Spanner serving in one simulation, with end-to-end spans and exactly-once handoff checking")
+	checkRun := flag.Bool("check", false, "with -study=partition or -study=pipeline: include the broken-knob demonstration arms the checkers must convict")
 	pipeRecords := flag.Int("records", 0, "with -study=pipeline: logical records flowing end to end (0 = study default)")
 	pipeBatches := flag.Int("batches", 0, "with -study=pipeline: ingest batches the records arrive in (0 = study default)")
 	pipeIters := flag.Int("iterations", 0, "with -study=pipeline: PageRank-style analytics iterations (0 = study default)")
-	fleetServers := flag.Int("fleet-servers", 0, "with -fleet: total server machines across platforms (0 = study default, 2000)")
-	fleetUsers := flag.Int("fleet-users", 0, "with -fleet: logical user population (0 = study default, 1000000)")
-	fleetOps := flag.Int("fleet-ops", 0, "with -fleet: total completed-operation budget (0 = study default)")
-	fleetHeapMB := flag.Int("fleet-heap-mb", 0, "with -fleet: fail (exit 1) if the coordinator's live heap after the run exceeds this many MiB (0 = no assertion)")
-	sketchErr := flag.Float64("sketch-err", 0, "with -fleet: quantile sketch relative-error bound (0 = 1%)")
+	fleetServers := flag.Int("fleet-servers", 0, "with -study=fleet: total server machines across platforms (0 = study default, 2000)")
+	fleetUsers := flag.Int("fleet-users", 0, "with -study=fleet: logical user population (0 = study default, 1000000)")
+	fleetOps := flag.Int("fleet-ops", 0, "with -study=fleet: total completed-operation budget (0 = study default)")
+	fleetHeapMB := flag.Int("fleet-heap-mb", 0, "with -study=fleet: fail (exit 1) if the coordinator's live heap after the run exceeds this many MiB (0 = no assertion)")
+	sketchErr := flag.Float64("sketch-err", 0, "with -study=fleet: quantile sketch relative-error bound (0 = 1%)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the harness itself to this file (inspect with go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write a heap profile of the harness itself to this file on exit")
 	worker := flag.Bool("worker", false, "serve study work units on stdin/stdout for an exec-backend coordinator (internal; spawned by -backend=exec)")
@@ -185,17 +180,7 @@ func main() {
 		}()
 	}
 
-	study := resolveStudy(*studySel, modeFlags{
-		pipeline:  *pipelineRun,
-		fleet:     *fleetRun,
-		partition: *partitionRun,
-		check:     *checkRun,
-		faults:    *faultsRun,
-		overload:  *overloadRun,
-		obs:       *sf.obs,
-	})
-
-	switch study {
+	switch *studySel {
 	case "fleet":
 		cfg := sf.apply(hyperprof.DefaultFleetStudyConfig())
 		if *fleetServers > 0 {
@@ -236,51 +221,11 @@ func main() {
 		runOverload(sf.apply(hyperprof.DefaultOverloadStudyConfig()), *jsonOut, *sf.obsOut)
 	case "obs":
 		runObserve(sf.apply(hyperprof.DefaultObsStudyConfig()), *chromeOut, *sf.obsOut)
-	default:
+	case "char":
 		runCharacterize(sf.apply(hyperprof.DefaultCharStudyConfig()), *jsonOut, *chromeOut, *topN, *pprofPrefix)
+	default:
+		log.Fatalf("unknown -study=%s (valid: char, safety, resilience, obs, overload, partition, fleet, pipeline)", *studySel)
 	}
-}
-
-// modeFlags carries the legacy mode booleans, kept as aliases for the
-// -study selector.
-type modeFlags struct {
-	pipeline, fleet, partition, check, faults, overload, obs bool
-}
-
-// resolveStudy maps the -study selector (or, when it is empty, the legacy
-// mode booleans in their historical precedence order) to a canonical study
-// name. Legacy flags used as selectors print a deprecation note on stderr;
-// used as modifiers beside an explicit -study they stay silent (-check adds
-// broken arms to partition/pipeline, -obs instruments any study).
-func resolveStudy(sel string, m modeFlags) string {
-	if sel != "" {
-		switch sel {
-		case "char", "safety", "resilience", "obs", "overload", "partition", "fleet", "pipeline":
-			return sel
-		}
-		log.Fatalf("unknown -study=%s (valid: char, safety, resilience, obs, overload, partition, fleet, pipeline)", sel)
-	}
-	deprecated := func(old, name string) string {
-		fmt.Fprintf(os.Stderr, "hyperprof: note: %s is deprecated; use -study=%s\n", old, name)
-		return name
-	}
-	switch {
-	case m.pipeline:
-		return "pipeline"
-	case m.fleet:
-		return deprecated("-fleet", "fleet")
-	case m.partition:
-		return deprecated("-partition", "partition")
-	case m.check:
-		return deprecated("standalone -check", "safety")
-	case m.faults:
-		return deprecated("-faults", "resilience")
-	case m.overload:
-		return deprecated("-overload", "overload")
-	case m.obs:
-		return deprecated("standalone -obs", "obs")
-	}
-	return "char"
 }
 
 // runCharacterize executes the characterization study and prints every §3–§5
@@ -292,12 +237,7 @@ func runCharacterize(cfg hyperprof.StudyConfig, jsonOut bool, chromeOut string, 
 	}
 
 	if jsonOut {
-		data, err := hyperprof.BuildReport(ch).JSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(data)
-		fmt.Println()
+		printJSON(hyperprof.BuildReport(ch).JSON())
 		return
 	}
 
@@ -345,7 +285,7 @@ func runCharacterize(cfg hyperprof.StudyConfig, jsonOut bool, chromeOut string, 
 	if chromeOut != "" {
 		b := hyperprof.NewChromeBuilder()
 		b.AddTraces(allTraces(ch.Traces), 2000)
-		writeChrome(b, chromeOut, "")
+		writeChrome(chromeOut, "", b.Marshal)
 	}
 }
 
@@ -358,19 +298,12 @@ func runObserve(cfg hyperprof.StudyConfig, chromeOut, obsOut string) {
 		log.Fatal(err)
 	}
 	fmt.Print(hyperprof.RenderObs(o))
-	data, err := o.JSON()
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := os.WriteFile(obsOut, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("Wrote %d bytes of metric time series to %s\n", len(data), obsOut)
+	writeSeries(obsOut, "", o.Series)
 	if chromeOut != "" {
 		b := hyperprof.NewChromeBuilder()
 		b.AddTraces(allTraces(o.Char.Traces), 2000)
 		b.AddCounters(o.CounterTracks())
-		writeChrome(b, chromeOut, "with counter tracks")
+		writeChrome(chromeOut, "with counter tracks", b.Marshal)
 	}
 }
 
@@ -386,17 +319,14 @@ func runSafety(cfg hyperprof.StudyConfig, chromeOut string) {
 		log.Fatal(err)
 	}
 	fmt.Print(hyperprof.RenderSafety(s))
-	var marks []hyperprof.TraceMark
-	for _, p := range hyperprof.Platforms() {
-		marks = append(marks, s.Marks[p]...)
-	}
+	marks := allMarks(s.Marks)
 	if chromeOut != "" && len(marks) == 0 {
 		fmt.Printf("\nNo violations, so no trace events to mark — skipping %s\n", chromeOut)
 	}
 	if chromeOut != "" && len(marks) > 0 {
 		b := hyperprof.NewChromeBuilder()
 		b.AddMarks(marks)
-		writeChrome(b, chromeOut, fmt.Sprintf("%d violation marks", len(marks)))
+		writeChrome(chromeOut, fmt.Sprintf("%d violation marks", len(marks)), b.Marshal)
 	}
 	if !s.Ok() {
 		os.Exit(1)
@@ -424,20 +354,10 @@ func runResilience(cfg hyperprof.StudyConfig, chromeOut, obsOut string) {
 		}
 	}
 	if cfg.Obs.Enabled {
-		data, err := hyperprof.MarshalMetricSeries(res.Series)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(obsOut, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("Wrote %d bytes of metric time series (faulted arms) to %s\n", len(data), obsOut)
+		writeSeries(obsOut, " (faulted arms)", res.Series)
 	}
 	if chromeOut != "" {
-		var marks []hyperprof.TraceMark
-		for _, p := range hyperprof.Platforms() {
-			marks = append(marks, res.Marks[p]...)
-		}
+		marks := allMarks(res.Marks)
 		b := hyperprof.NewChromeBuilder()
 		b.AddMarks(marks)
 		b.AddTraces(allTraces(res.Traces), 2000)
@@ -446,7 +366,7 @@ func runResilience(cfg hyperprof.StudyConfig, chromeOut, obsOut string) {
 			b.AddCounters(hyperprof.MetricCounterTracks(res.Series))
 			detail += " and counter tracks"
 		}
-		writeChrome(b, chromeOut, detail)
+		writeChrome(chromeOut, detail, b.Marshal)
 	}
 }
 
@@ -462,23 +382,15 @@ func runPartition(cfg hyperprof.StudyConfig, jsonOut bool, chromeOut string) {
 		log.Fatal(err)
 	}
 	if jsonOut {
-		data, err := s.JSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(data)
-		fmt.Println()
+		printJSON(s.JSON())
 	} else {
 		fmt.Print(hyperprof.RenderPartition(s))
 	}
 	if chromeOut != "" {
-		var marks []hyperprof.TraceMark
-		for _, p := range hyperprof.Platforms() {
-			marks = append(marks, s.Marks[p]...)
-		}
+		marks := allMarks(s.Marks)
 		b := hyperprof.NewChromeBuilder()
 		b.AddMarks(marks)
-		writeChrome(b, chromeOut, fmt.Sprintf("%d fault/violation marks", len(marks)))
+		writeChrome(chromeOut, fmt.Sprintf("%d fault/violation marks", len(marks)), b.Marshal)
 	}
 	if !s.Ok() {
 		os.Exit(1)
@@ -500,25 +412,13 @@ func runPipeline(cfg hyperprof.StudyConfig, jsonOut bool, chromeOut string) {
 		log.Fatal(err)
 	}
 	if jsonOut {
-		data, err := s.JSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(data)
-		fmt.Println()
+		printJSON(s.JSON())
 	} else {
 		fmt.Print(hyperprof.RenderPipeline(s))
 	}
 	if chromeOut != "" {
-		data, err := s.Chrome()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(chromeOut, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\nWrote %d bytes of Chrome trace events (%d end-to-end traces spanning three platform processes, %d marks) to %s (open in Perfetto)\n",
-			len(data), len(s.Traces), len(s.Marks), chromeOut)
+		writeChrome(chromeOut, fmt.Sprintf("%d end-to-end traces spanning three platform processes, %d marks",
+			len(s.Traces), len(s.Marks)), s.Chrome)
 	}
 	if !s.Ok() {
 		os.Exit(1)
@@ -528,9 +428,6 @@ func runPipeline(cfg hyperprof.StudyConfig, jsonOut bool, chromeOut string) {
 	}
 }
 
-// runOverload executes the overload study and prints the naive-vs-protected
-// comparison (or the machine-readable export with -json). With -obs, the
-// protected arms' metric time series are written beside it.
 // runFleet executes the fleet-scale characterization, optionally asserting
 // the coordinator's post-run live heap stays under a ceiling — the CI
 // check-fleet gate's bounded-memory guarantee.
@@ -540,12 +437,7 @@ func runFleet(cfg hyperprof.StudyConfig, jsonOut bool, heapCeilingMB int) {
 		log.Fatal(err)
 	}
 	if jsonOut {
-		data, err := hyperprof.MarshalFleet(st)
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(data)
-		fmt.Println()
+		printJSON(hyperprof.MarshalFleet(st))
 	} else {
 		fmt.Print(hyperprof.RenderFleet(st))
 	}
@@ -558,18 +450,16 @@ func runFleet(cfg hyperprof.StudyConfig, jsonOut bool, heapCeilingMB int) {
 	}
 }
 
+// runOverload executes the overload study and prints the naive-vs-protected
+// comparison (or the machine-readable export with -json). With -obs, the
+// protected arms' metric time series are written beside it.
 func runOverload(cfg hyperprof.StudyConfig, jsonOut bool, obsOut string) {
 	o, err := hyperprof.OverloadControl(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	if jsonOut {
-		data, err := o.JSON()
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(data)
-		fmt.Println()
+		printJSON(o.JSON())
 		return
 	}
 	fmt.Print(hyperprof.RenderOverload(o))
@@ -583,15 +473,20 @@ func runOverload(cfg hyperprof.StudyConfig, jsonOut bool, obsOut string) {
 		}
 	}
 	if cfg.Obs.Enabled {
-		data, err := hyperprof.MarshalMetricSeries(o.Series)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(obsOut, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("Wrote %d bytes of metric time series (protected arms) to %s\n", len(data), obsOut)
+		writeSeries(obsOut, " (protected arms)", o.Series)
 	}
+}
+
+// writeSeries writes per-platform metric time series as JSON to path.
+func writeSeries(path, detail string, series map[hyperprof.Platform][]hyperprof.MetricSeries) {
+	data, err := hyperprof.MarshalMetricSeries(series)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("Wrote %d bytes of metric time series%s to %s\n", len(data), detail, path)
 }
 
 // allTraces flattens a per-platform trace map in presentation order.
@@ -603,9 +498,27 @@ func allTraces(m map[hyperprof.Platform][]*hyperprof.QueryTrace) []*hyperprof.Qu
 	return all
 }
 
-// writeChrome marshals a built Chrome trace-event document to path.
-func writeChrome(b *hyperprof.ChromeBuilder, path, detail string) {
-	data, err := b.Marshal()
+// allMarks flattens a per-platform mark map in presentation order.
+func allMarks(m map[hyperprof.Platform][]hyperprof.TraceMark) []hyperprof.TraceMark {
+	var all []hyperprof.TraceMark
+	for _, p := range hyperprof.Platforms() {
+		all = append(all, m[p]...)
+	}
+	return all
+}
+
+// printJSON writes a study's JSON export to stdout.
+func printJSON(data []byte, err error) {
+	if err != nil {
+		log.Fatal(err)
+	}
+	os.Stdout.Write(data)
+	fmt.Println()
+}
+
+// writeChrome writes the Chrome trace-event document marshal returns to path.
+func writeChrome(path, detail string, marshal func() ([]byte, error)) {
+	data, err := marshal()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,35 +1,33 @@
 package experiments
 
-// This file abstracts study execution behind the Backend interface. Every
-// study's arms are independent deterministic simulations, so the only thing
-// a backend decides is *where* an arm computes — never what it computes.
-// Two implementations exist:
+// This file runs a study's remotable work. Every study's arms are
+// independent deterministic simulations, so where an arm computes never
+// changes what it computes. A remotable arm is a typed unit: a plain struct
+// of the arm's parameters whose run method computes the arm's result. There
+// are two backends:
 //
-//   - PoolBackend runs work units on the in-process goroutine pool
-//     (runner.go), exactly like the legacy path but through the serialized
-//     unit registry, so the wire representation is exercised without
-//     spawning processes.
-//   - ExecBackend partitions units across `hyperprof -worker` subprocesses
-//     via internal/dispatch, which is what makes 10k-seed safety tortures
-//     and full design-space sweeps practical: each worker is a fresh
-//     address space, so the study's memory high-water mark stays flat and a
-//     crashed arm cannot take the coordinator down.
+//   - The default, the empty string, calls each unit's run method on the
+//     in-process goroutine pool (runner.go). No JSON is involved.
+//   - BackendExec ships units as JSON across `hyperprof -worker`
+//     subprocesses via internal/dispatch. That keeps 10k-seed safety
+//     tortures and full design-space sweeps practical: each worker is a
+//     fresh address space, so the study's memory high-water mark stays flat
+//     and a crashed arm cannot take the coordinator down. Workers find a
+//     unit's run method through the unitRunners registry.
 //
 // The determinism invariant extends across backends: a study's exported
 // bytes are identical whether its arms ran sequentially, on the goroutine
 // pool, or across worker processes. The fixed-order merge already
 // guarantees this for goroutines; for processes it additionally requires
-// that every remotable arm result survives a JSON round trip bit-exactly
+// that every unit and arm result survives a JSON round trip bit-exactly
 // (encoding/json round-trips float64, time.Duration and nil-vs-empty slices
 // faithfully; trace.Trace carries its unexported sampling state through
-// custom JSON). The cross-backend tests pin the invariant byte-for-byte.
+// custom JSON). The registry round-trip and cross-backend tests pin this.
 //
-// Not every study is remotable. The characterization (and the observability
-// study riding on it) hands live simulator state — kernels, profilers,
-// tracers, storage inventories — straight to the figure extractors; there
-// is no wire form of a platformRun, so those studies always execute
-// in-process regardless of the configured backend. Safety, resilience,
-// latency and overload arms condense to plain data and ship fine.
+// Characterize and Observe are not remotable: their results hand live
+// simulator state (kernels, profilers, tracers, storage inventories)
+// straight to the figure extractors, so they run through runJobs in-process
+// whatever backend the config selects.
 
 import (
 	"encoding/json"
@@ -39,70 +37,43 @@ import (
 	"hyperprof/internal/dispatch"
 )
 
-// Backend names accepted by StudyConfig.Backend.
-const (
-	// BackendPool is the in-process goroutine worker pool.
-	BackendPool = "pool"
-	// BackendExec is the multi-process worker backend.
-	BackendExec = "exec"
-)
+// BackendExec is the StudyConfig.Backend value that selects the
+// multi-process worker backend. The empty string selects in-process.
+const BackendExec = "exec"
 
-// Backend executes the independent work units of a study and returns their
-// results in unit order. Units and results are JSON documents so the
-// contract is identical in- and out-of-process; kind routes a unit to its
-// registered runner. If any unit fails, the error of the lowest-indexed
-// failing unit is returned, so the surfaced error is deterministic
-// regardless of worker interleaving.
-type Backend interface {
-	// Name identifies the backend ("pool", "exec").
-	Name() string
-	// Run executes the units of one kind under the study config.
-	Run(cfg StudyConfig, kind string, units []json.RawMessage) ([]json.RawMessage, error)
+// unit is one remotable arm of a study: its fields are the arm's parameters
+// and run computes the arm's result under the study config.
+type unit[R any] interface {
+	run(cfg StudyConfig) (R, error)
 }
 
-// ResolveBackend maps a study config to its execution backend. The empty
-// string resolves to nil: run jobs directly on the in-process pool without
-// the serialized unit indirection (the legacy fast path).
-func ResolveBackend(cfg StudyConfig) (Backend, error) {
+// runUnits executes units through the configured backend and returns their
+// results in unit order. kind names the unit type in the unitRunners
+// registry. If any unit fails, the error of the lowest-indexed failing unit
+// is returned, so the error is deterministic regardless of interleaving.
+func runUnits[U unit[R], R any](cfg StudyConfig, kind string, units []U) ([]R, error) {
 	switch cfg.Backend {
 	case "":
-		return nil, nil
-	case BackendPool:
-		return PoolBackend{}, nil
+		return runJobs(cfg.Parallel, len(units), func(i int) (R, error) { return units[i].run(cfg) })
 	case BackendExec:
-		return ExecBackend{}, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown backend %q (want %q or %q)", cfg.Backend, BackendPool, BackendExec)
+		raws, err := runExec(cfg, kind, units)
+		if err != nil {
+			return nil, err
+		}
+		results := make([]R, len(raws))
+		for i, raw := range raws {
+			if err := json.Unmarshal(raw, &results[i]); err != nil {
+				return nil, fmt.Errorf("experiments: decode %s result %d: %w", kind, i, err)
+			}
+		}
+		return results, nil
 	}
+	return nil, fmt.Errorf("experiments: unknown backend %q (want \"\" or %q)", cfg.Backend, BackendExec)
 }
 
-// PoolBackend executes work units on the in-process goroutine pool. It is
-// the same pool the legacy path uses; the difference is that units travel
-// through the serialized registry, so selecting it proves the wire
-// representation without any subprocess in the loop.
-type PoolBackend struct{}
-
-// Name implements Backend.
-func (PoolBackend) Name() string { return BackendPool }
-
-// Run implements Backend.
-func (PoolBackend) Run(cfg StudyConfig, kind string, units []json.RawMessage) ([]json.RawMessage, error) {
-	jobs := make([]func() (json.RawMessage, error), len(units))
-	for i, u := range units {
-		u := u
-		jobs[i] = func() (json.RawMessage, error) { return runUnit(cfg, kind, u) }
-	}
-	return runJobs(cfg.Parallel, jobs)
-}
-
-// ExecBackend executes work units across hyperprof -worker subprocesses.
-type ExecBackend struct{}
-
-// Name implements Backend.
-func (ExecBackend) Name() string { return BackendExec }
-
-// Run implements Backend.
-func (ExecBackend) Run(cfg StudyConfig, kind string, units []json.RawMessage) ([]json.RawMessage, error) {
+// runExec ships units across hyperprof -worker subprocesses and returns the
+// serialized results in unit order.
+func runExec[U any](cfg StudyConfig, kind string, units []U) ([]json.RawMessage, error) {
 	ec := cfg.Exec
 	workers := ec.Workers
 	if workers <= 0 {
@@ -115,8 +86,8 @@ func (ExecBackend) Run(cfg StudyConfig, kind string, units []json.RawMessage) ([
 	case retries < 0:
 		retries = 0
 	}
-	// Workers re-run units in a fresh process, so the config they see must
-	// not re-select a backend: arms execute directly.
+	// Workers run units in a fresh process, so the config they see must not
+	// re-select a backend: arms execute directly.
 	wcfg := cfg
 	wcfg.Backend = ""
 	wcfg.Exec = ExecConfig{}
@@ -129,7 +100,10 @@ func (ExecBackend) Run(cfg StudyConfig, kind string, units []json.RawMessage) ([
 	}
 	wire := make([]dispatch.Unit, len(units))
 	for i, u := range units {
-		body, err := json.Marshal(wireUnit{Cfg: wcfg, Body: u})
+		body, err := json.Marshal(u)
+		if err == nil {
+			body, err = json.Marshal(wireUnit{Cfg: wcfg, Body: body})
+		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: marshal %s unit %d: %w", kind, i, err)
 		}
@@ -139,26 +113,31 @@ func (ExecBackend) Run(cfg StudyConfig, kind string, units []json.RawMessage) ([
 }
 
 // wireUnit is the exec backend's frame body: the study config the arm runs
-// under plus the unit's own parameters.
+// under plus the unit itself.
 type wireUnit struct {
 	Cfg  StudyConfig     `json:"cfg"`
 	Body json.RawMessage `json:"body"`
 }
 
-// unitRunner executes one decoded work unit and returns its arm result.
-type unitRunner func(cfg StudyConfig, body json.RawMessage) (any, error)
+// unitRunners maps each unit kind to the function that decodes and runs it.
+// Exec workers resolve kinds here.
+var unitRunners = map[string]func(cfg StudyConfig, body json.RawMessage) (any, error){
+	safetyUnitKind:     decodeRun[safetyUnit, safetyArm],
+	latencyUnitKind:    decodeRun[latencyUnit, LatencyPoint],
+	resilienceUnitKind: decodeRun[resilienceUnit, [2]resilienceArm],
+	overloadUnitKind:   decodeRun[overloadUnit, [2]overloadArm],
+	partitionUnitKind:  decodeRun[partitionUnit, partitionArm],
+	fleetUnitKind:      decodeRun[fleetUnit, FleetRow],
+	pipelineUnitKind:   decodeRun[pipelineUnit, pipelineArm],
+}
 
-// unitRunners is the registry mapping a unit kind to the function that runs
-// it. Both backends resolve kinds here: the pool backend in-process, the
-// exec backend inside each worker subprocess.
-var unitRunners = map[string]unitRunner{
-	safetyUnitKind:     runSafetyUnit,
-	latencyUnitKind:    runLatencyUnit,
-	resilienceUnitKind: runResilienceUnit,
-	overloadUnitKind:   runOverloadUnit,
-	partitionUnitKind:  runPartitionUnit,
-	fleetUnitKind:      runFleetUnit,
-	pipelineUnitKind:   runPipelineUnit,
+// decodeRun decodes one U from its JSON form and runs it.
+func decodeRun[U unit[R], R any](cfg StudyConfig, body json.RawMessage) (any, error) {
+	var u U
+	if err := json.Unmarshal(body, &u); err != nil {
+		return nil, fmt.Errorf("experiments: decode %T: %w", u, err)
+	}
+	return u.run(cfg)
 }
 
 // runUnit resolves and executes one serialized work unit in this process.
@@ -179,9 +158,9 @@ func runUnit(cfg StudyConfig, kind string, body json.RawMessage) (json.RawMessag
 }
 
 // ServeWorker runs the worker side of the exec backend protocol on the
-// given streams until EOF: decode each frame's study config and unit
-// parameters, run the arm in this process, and answer with the serialized
-// result. cmd/hyperprof serves this under its -worker flag.
+// given streams until EOF: decode each frame's study config and unit, run
+// the arm in this process, and answer with the serialized result.
+// cmd/hyperprof serves this under its -worker flag.
 func ServeWorker(r io.Reader, w io.Writer) error {
 	return dispatch.Serve(r, w, func(kind string, body json.RawMessage) (json.RawMessage, error) {
 		var u wireUnit
@@ -190,38 +169,4 @@ func ServeWorker(r io.Reader, w io.Writer) error {
 		}
 		return runUnit(u.Cfg, kind, u.Body)
 	})
-}
-
-// runStudy executes a study's jobs through its configured backend. jobs is
-// the in-process form of the work; units is the serialized form of the same
-// work, element for element, or nil when the study's results cannot cross a
-// process boundary (see the package comment above). With no backend
-// selected — or no wire form available — jobs run directly on the
-// in-process pool, which is bitwise the pre-backend behaviour.
-func runStudy[T any](cfg StudyConfig, kind string, units []any, jobs []func() (T, error)) ([]T, error) {
-	backend, err := ResolveBackend(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if backend == nil || kind == "" || len(units) != len(jobs) {
-		return runJobs(cfg.Parallel, jobs)
-	}
-	payloads := make([]json.RawMessage, len(units))
-	for i, u := range units {
-		payloads[i], err = json.Marshal(u)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: marshal %s unit %d: %w", kind, i, err)
-		}
-	}
-	raws, err := backend.Run(cfg, kind, payloads)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]T, len(raws))
-	for i, raw := range raws {
-		if err := json.Unmarshal(raw, &results[i]); err != nil {
-			return nil, fmt.Errorf("experiments: decode %s result %d: %w", kind, i, err)
-		}
-	}
-	return results, nil
 }

@@ -7,15 +7,16 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
 )
 
-// These tests pin the backend abstraction's core guarantee: a study's
-// exported bytes are identical whether its arms run in-process via closures
-// (Backend ""), in-process through the serialized unit registry ("pool"),
-// or across worker subprocesses ("exec"). The exec backend re-invokes this
+// These tests pin the backends' core guarantee: a study's exported bytes are
+// identical whether its units run in-process (Backend "") or across worker
+// subprocesses ("exec"), and every unit and result survives the JSON round
+// trip the exec backend puts it through. The exec backend re-invokes this
 // test binary: TestMain hijacks the process into a protocol worker when the
 // coordinator's env var is set, so no separate worker binary is built.
 
@@ -57,9 +58,9 @@ func withBackend(t *testing.T, cfg StudyConfig, backend string) StudyConfig {
 	return cfg
 }
 
-// studyBackends are the three execution paths every cross-backend test
+// studyBackends are the two execution paths every cross-backend test
 // compares.
-var studyBackends = []string{"", BackendPool, BackendExec}
+var studyBackends = []string{"", BackendExec}
 
 func backendSafetyConfig() StudyConfig {
 	cfg := DefaultSafetyStudyConfig()
@@ -230,10 +231,109 @@ func TestExecWorkerCrashSurfacesDeterministicError(t *testing.T) {
 }
 
 func TestUnknownBackendRejected(t *testing.T) {
-	cfg := backendSafetyConfig()
-	cfg.Backend = "carrier-pigeon"
-	if _, err := cfg.Safety(); err == nil || !strings.Contains(err.Error(), "unknown backend") {
-		t.Fatalf("want unknown-backend error, got: %v", err)
+	for _, backend := range []string{"carrier-pigeon", "pool"} {
+		cfg := backendSafetyConfig()
+		cfg.Backend = backend
+		_, err := cfg.Safety()
+		if err == nil || !strings.Contains(err.Error(), "unknown backend") ||
+			!strings.Contains(err.Error(), `""`) || !strings.Contains(err.Error(), `"exec"`) {
+			t.Fatalf("backend %q: want an unknown-backend error naming \"\" and \"exec\", got: %v", backend, err)
+		}
+	}
+}
+
+// TestUnitRegistryRoundTrip runs one small unit of every registered kind
+// in-process, then again through the registry from its JSON form, as an exec
+// worker would, and requires the result bytes to match. The unit and the
+// result must also re-marshal to identical bytes after decoding. A kind
+// without a case here, or a case whose kind is not registered, fails.
+func TestUnitRegistryRoundTrip(t *testing.T) {
+	small := StudyConfig{Seed: 3, Clients: 2, TraceRate: 1,
+		Ops:   PlatformOps{Spanner: 20, BigTable: 20, BigQuery: 2},
+		Check: CheckConfig{Seeds: 1, HotRows: 4}}
+	overload := overloadTestConfig()
+	overload.Load.Duration = 300 * time.Millisecond
+	overload.Load.TriggerAt = 100 * time.Millisecond
+	overload.Load.TriggerDur = 50 * time.Millisecond
+	resilience := small
+	resilience.Faults = defaultFaults()
+	partition := DefaultPartitionStudyConfig()
+	partition.Clients, partition.Ops = small.Clients, small.Ops
+	pipeline := DefaultPipelineStudyConfig()
+	pipeline.Pipe = PipelineConfig{Records: 4, Batches: 2, Iterations: 1}
+	fleet := smallFleetConfig()
+	cases := map[string]func(t *testing.T){
+		safetyUnitKind: func(t *testing.T) {
+			roundTrip(t, small, safetyUnitKind, safetyUnit{Platform: taxonomy.BigTable, Seed: 3, Horizon: 50 * time.Millisecond})
+		},
+		latencyUnitKind: func(t *testing.T) {
+			roundTrip(t, small, latencyUnitKind, latencyUnit{Rate: 800, Ops: 20})
+		},
+		resilienceUnitKind: func(t *testing.T) {
+			roundTrip(t, resilience, resilienceUnitKind, resilienceUnit{Platform: taxonomy.BigQuery})
+		},
+		overloadUnitKind: func(t *testing.T) {
+			roundTrip(t, overload, overloadUnitKind, overloadUnit{Platform: taxonomy.BigQuery})
+		},
+		partitionUnitKind: func(t *testing.T) {
+			roundTrip(t, partition, partitionUnitKind, partitionUnit{Platform: taxonomy.Spanner, Arm: armBroken, Seed: 3, Horizon: 20 * time.Millisecond})
+		},
+		fleetUnitKind: func(t *testing.T) {
+			roundTrip(t, fleet, fleetUnitKind, fleet.fleetUnits()[1])
+		},
+		pipelineUnitKind: func(t *testing.T) {
+			roundTrip(t, pipeline, pipelineUnitKind, pipelineUnit{Arm: armFaulted, Seed: 3, Horizon: 20 * time.Millisecond})
+		},
+	}
+	for kind := range unitRunners {
+		if cases[kind] == nil {
+			t.Errorf("registered unit kind %q has no round-trip case", kind)
+		}
+	}
+	for kind, run := range cases {
+		if unitRunners[kind] == nil {
+			t.Errorf("unit kind %q is missing from the registry", kind)
+			continue
+		}
+		t.Run(kind, run)
+	}
+}
+
+// roundTrip checks one unit's in-process result against its registry result.
+func roundTrip[U unit[R], R any](t *testing.T, cfg StudyConfig, kind string, u U) {
+	t.Helper()
+	direct, err := u.run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back U
+	if err := json.Unmarshal(body, &back); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := json.Marshal(back); !bytes.Equal(body, again) {
+		t.Fatalf("unit changed across a JSON round trip:\n%s\n%s", body, again)
+	}
+	got, err := runUnit(cfg, kind, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("registry result differs from the in-process result (first diff at %d)", firstDiff(want, got))
+	}
+	var decoded R
+	if err := json.Unmarshal(got, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := json.Marshal(decoded); !bytes.Equal(want, again) {
+		t.Fatalf("result changed across a JSON round trip (first diff at %d)", firstDiff(want, again))
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 	"hyperprof/internal/bigquery"
 	"hyperprof/internal/bigtable"
-	"hyperprof/internal/netsim"
+	"hyperprof/internal/cluster"
 	"hyperprof/internal/obs"
 	"hyperprof/internal/platform"
 	"hyperprof/internal/profile"
@@ -64,12 +64,9 @@ func (cfg StudyConfig) Characterize() (*Characterization, error) {
 	// A platformRun hands live simulator state (envs, profilers, tracers)
 	// straight to the figure extractors; it has no wire form, so the
 	// characterization always executes in-process whatever backend the
-	// config selects (the empty kind routes runStudy to the legacy pool).
-	runs, err := runStudy(cfg, "", nil, []func() (platformRun, error){
-		func() (platformRun, error) { return runSpannerChar(cfg) },
-		func() (platformRun, error) { return runBigTableChar(cfg) },
-		func() (platformRun, error) { return runBigQueryChar(cfg) },
-	})
+	// config selects.
+	platforms := taxonomy.Platforms()
+	runs, err := runJobs(cfg.Parallel, len(platforms), func(i int) (platformRun, error) { return runChar(cfg, platforms[i]) })
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +79,7 @@ func (cfg StudyConfig) Characterize() (*Characterization, error) {
 		Elapsed:    map[taxonomy.Platform]time.Duration{},
 		Series:     map[taxonomy.Platform][]obs.Series{},
 	}
-	for i, p := range taxonomy.Platforms() {
+	for i, p := range platforms {
 		run := runs[i]
 		ch.Envs[p] = run.env
 		ch.Traces[p] = run.traces
@@ -98,94 +95,62 @@ func (cfg StudyConfig) Characterize() (*Characterization, error) {
 	return ch, nil
 }
 
-// enableStudyObs wires the environment's observability plane when the study
-// asks for it. Must run after any env.Net replacement and before the
-// platform constructor (see platform.Env.EnableObs).
-func enableStudyObs(cfg StudyConfig, env *platform.Env) {
-	if cfg.Obs.Enabled {
-		env.EnableObs(cfg.Obs.registry())
-	}
-}
-
-func runSpannerChar(cfg StudyConfig) (platformRun, error) {
-	env := platform.NewEnv(cfg.Seed, cfg.TraceRate)
-	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
-	enableStudyObs(cfg, env)
-	db, err := spanner.New(env, spanner.DefaultConfig())
-	if err != nil {
-		return platformRun{}, err
-	}
-	run := workload.Spanner(env, db, workload.DefaultSpannerMix(), cfg.Clients, cfg.Ops.Spanner)
-	env.Obs.Start(env.K)
-	end := env.K.Run()
-	if err := run.Err(); err != nil {
-		return platformRun{}, fmt.Errorf("spanner workload: %w", err)
-	}
-	out := platformRun{env: env, traces: env.Tracer.Sampled(), elapsed: end, series: env.Obs.Snapshot()}
-	var bytesRead int64
-	for _, m := range db.Machines() {
-		out.stores = append(out.stores, m.Store)
-		for _, t := range storage.Tiers() {
-			bytesRead += m.Store.Stats(t).BytesRead
+// runChar drives one platform's calibrated closed-loop workload and keeps
+// its live state. Storage bytes read per query come from the replicas' own
+// stores on Spanner and from the DFS chunkservers on BigTable and BigQuery.
+func runChar(cfg StudyConfig, p taxonomy.Platform) (platformRun, error) {
+	env := newPlatformEnv(p, cfg.Seed+platformOffset(p), cfg.TraceRate, cfg.Obs)
+	var (
+		run      *workload.Run
+		machines []*cluster.Machine
+		dfs      *storage.DFS
+	)
+	switch p {
+	case taxonomy.Spanner:
+		db, err := spanner.New(env, spanner.DefaultConfig())
+		if err != nil {
+			return platformRun{}, err
 		}
+		run = workload.Spanner(env, db, workload.DefaultSpannerMix(), cfg.Clients, cfg.Ops.Spanner)
+		machines = db.Machines()
+	case taxonomy.BigTable:
+		db, err := bigtable.New(env, bigtable.DefaultConfig())
+		if err != nil {
+			return platformRun{}, err
+		}
+		run = workload.BigTable(env, db, workload.DefaultBigTableMix(), cfg.Clients, cfg.Ops.BigTable)
+		machines, dfs = db.Machines(), db.DFS()
+	case taxonomy.BigQuery:
+		e, err := bigquery.New(env, bigquery.DefaultConfig())
+		if err != nil {
+			return platformRun{}, err
+		}
+		run = workload.BigQuery(env, e, workload.DefaultBigQueryMix(), cfg.Clients, cfg.Ops.BigQuery)
+		machines, dfs = e.Machines(), e.DFS()
+	default:
+		return platformRun{}, fmt.Errorf("experiments: unknown platform %q", p)
 	}
-	out.queryBytes = float64(bytesRead) / float64(cfg.Ops.Spanner)
-	return out, nil
-}
-
-func runBigTableChar(cfg StudyConfig) (platformRun, error) {
-	env := platform.NewEnv(cfg.Seed+1, cfg.TraceRate)
-	enableStudyObs(cfg, env)
-	db, err := bigtable.New(env, bigtable.DefaultConfig())
-	if err != nil {
-		return platformRun{}, err
-	}
-	run := workload.BigTable(env, db, workload.DefaultBigTableMix(), cfg.Clients, cfg.Ops.BigTable)
 	env.Obs.Start(env.K)
 	end := env.K.Run()
 	if err := run.Err(); err != nil {
-		return platformRun{}, fmt.Errorf("bigtable workload: %w", err)
+		return platformRun{}, fmt.Errorf("%s workload: %w", platformName(p), err)
 	}
 	out := platformRun{env: env, traces: env.Tracer.Sampled(), elapsed: end, series: env.Obs.Snapshot()}
-	var bytesRead int64
-	for _, m := range db.Machines() {
+	for _, m := range machines {
 		out.stores = append(out.stores, m.Store)
 	}
-	for _, s := range db.DFS().Servers() {
-		out.stores = append(out.stores, s)
+	read := out.stores
+	if dfs != nil {
+		read = dfs.Servers()
+		out.stores = append(out.stores, read...)
+	}
+	var bytesRead int64
+	for _, s := range read {
 		for _, t := range storage.Tiers() {
 			bytesRead += s.Stats(t).BytesRead
 		}
 	}
-	out.queryBytes = float64(bytesRead) / float64(cfg.Ops.BigTable)
-	return out, nil
-}
-
-func runBigQueryChar(cfg StudyConfig) (platformRun, error) {
-	env := platform.NewEnv(cfg.Seed+2, cfg.TraceRate)
-	enableStudyObs(cfg, env)
-	e, err := bigquery.New(env, bigquery.DefaultConfig())
-	if err != nil {
-		return platformRun{}, err
-	}
-	run := workload.BigQuery(env, e, workload.DefaultBigQueryMix(), cfg.Clients, cfg.Ops.BigQuery)
-	env.Obs.Start(env.K)
-	end := env.K.Run()
-	if err := run.Err(); err != nil {
-		return platformRun{}, fmt.Errorf("bigquery workload: %w", err)
-	}
-	out := platformRun{env: env, traces: env.Tracer.Sampled(), elapsed: end, series: env.Obs.Snapshot()}
-	var bytesRead int64
-	for _, m := range e.Machines() {
-		out.stores = append(out.stores, m.Store)
-	}
-	for _, s := range e.DFS().Servers() {
-		out.stores = append(out.stores, s)
-		for _, t := range storage.Tiers() {
-			bytesRead += s.Stats(t).BytesRead
-		}
-	}
-	out.queryBytes = float64(bytesRead) / float64(cfg.Ops.BigQuery)
+	out.queryBytes = float64(bytesRead) / float64(cfg.Ops.of(p))
 	return out, nil
 }
 

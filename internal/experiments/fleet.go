@@ -11,8 +11,8 @@ package experiments
 // operations observed, only with the error bound you accept.
 //
 // Fleet rows are pure data, so the study fans out over every backend, and
-// the exported bytes are identical sequential, parallel, pooled or across
-// worker processes. Measured heap statistics are attached to the in-memory
+// the exported bytes are identical sequential, parallel or across worker
+// processes. Measured heap statistics are attached to the in-memory
 // result only (json:"-"): memory is a property of the run, not of the
 // canonical artifact.
 
@@ -26,7 +26,6 @@ import (
 	"hyperprof/internal/bigquery"
 	"hyperprof/internal/bigtable"
 	"hyperprof/internal/check"
-	"hyperprof/internal/netsim"
 	"hyperprof/internal/platform"
 	"hyperprof/internal/spanner"
 	"hyperprof/internal/stats"
@@ -89,25 +88,16 @@ type FleetStudy struct {
 	Heap FleetHeapStats `json:"-"`
 }
 
-// fleetUnitKind tags fleet platform runs in the backend work-unit registry.
+// fleetUnitKind tags fleet platform runs in the unit registry.
 const fleetUnitKind = "fleet/platform"
 
-// fleetUnit is the serialized form of one platform's fleet run.
+// fleetUnit is one platform's fleet run.
 type fleetUnit struct {
 	Platform taxonomy.Platform `json:"platform"`
 	Servers  int               `json:"servers"`
 	Users    int               `json:"users"`
 	Ops      int               `json:"ops"`
 	Rate     float64           `json:"rate"`
-}
-
-// runFleetUnit executes one platform's fleet run from its wire form.
-func runFleetUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u fleetUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode fleet unit: %w", err)
-	}
-	return runFleetPlatform(cfg, u)
 }
 
 // fleetRecorders builds the latency recorder and operation history for one
@@ -125,19 +115,16 @@ func fleetRecorders(cfg StudyConfig, env *platform.Env, seed uint64) (stats.Reco
 	return stats.NewSketch(cfg.Sketch.RelErr), check.NewSampledHistory(env.K, histCap, seed)
 }
 
-// runFleetPlatform sizes one platform to its server share and drives it
-// open-loop with bounded-memory recording.
-func runFleetPlatform(cfg StudyConfig, u fleetUnit) (FleetRow, error) {
-	opts := workload.OpenLoopOpts{Shape: cfg.Fleet.Shape}
-	var (
-		res  *workload.OpenLoopResult
-		hist *check.History
-		env  *platform.Env
-	)
+// run sizes the platform to its server share and drives it open-loop with
+// bounded-memory recording.
+func (u fleetUnit) run(cfg StudyConfig) (FleetRow, error) {
+	seed := cfg.Seed + platformOffset(u.Platform)
+	env := newPlatformEnv(u.Platform, seed, fleetTraceRate, ObsConfig{})
+	rec, hist := fleetRecorders(cfg, env, seed)
+	opts := workload.OpenLoopOpts{Shape: cfg.Fleet.Shape, Latencies: rec}
+	var res *workload.OpenLoopResult
 	switch u.Platform {
 	case taxonomy.Spanner:
-		env = platform.NewEnv(cfg.Seed, fleetTraceRate)
-		env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
 		sc := spanner.DefaultConfig()
 		sc.Regions = 3
 		sc.Groups = max(1, u.Servers/sc.Regions)
@@ -148,13 +135,9 @@ func runFleetPlatform(cfg StudyConfig, u fleetUnit) (FleetRow, error) {
 		if err != nil {
 			return FleetRow{}, err
 		}
-		var rec stats.Recorder
-		rec, hist = fleetRecorders(cfg, env, cfg.Seed)
 		db.SetRecorder(hist)
-		opts.Latencies = rec
-		res = workload.SpannerOpenLoopWithOpts(env, db, workload.DefaultSpannerMix(), u.Rate, u.Ops, opts)
+		res = workload.SpannerOpenLoop(env, db, workload.DefaultSpannerMix(), u.Rate, u.Ops, opts)
 	case taxonomy.BigTable:
-		env = platform.NewEnv(cfg.Seed+1, fleetTraceRate)
 		bc := bigtable.DefaultConfig()
 		bc.TabletServers = max(1, u.Servers*4/5)
 		bc.Chunkservers = max(3, u.Servers-bc.TabletServers)
@@ -164,13 +147,9 @@ func runFleetPlatform(cfg StudyConfig, u fleetUnit) (FleetRow, error) {
 		if err != nil {
 			return FleetRow{}, err
 		}
-		var rec stats.Recorder
-		rec, hist = fleetRecorders(cfg, env, cfg.Seed+1)
 		db.SetRecorder(hist)
-		opts.Latencies = rec
-		res = workload.BigTableOpenLoopWithOpts(env, db, workload.DefaultBigTableMix(), u.Rate, u.Ops, opts)
+		res = workload.BigTableOpenLoop(env, db, workload.DefaultBigTableMix(), u.Rate, u.Ops, opts)
 	case taxonomy.BigQuery:
-		env = platform.NewEnv(cfg.Seed+2, fleetTraceRate)
 		qc := bigquery.DefaultConfig()
 		qc.Workers = max(1, u.Servers*7/10)
 		qc.ShuffleServers = max(1, u.Servers*3/20)
@@ -187,11 +166,8 @@ func runFleetPlatform(cfg StudyConfig, u fleetUnit) (FleetRow, error) {
 		if err != nil {
 			return FleetRow{}, err
 		}
-		var rec stats.Recorder
-		rec, hist = fleetRecorders(cfg, env, cfg.Seed+2)
 		e.SetRecorder(hist)
-		opts.Latencies = rec
-		res = workload.BigQueryOpenLoopWithOpts(env, e, workload.DefaultBigQueryMix(), u.Rate, u.Ops, opts)
+		res = workload.BigQueryOpenLoop(env, e, workload.DefaultBigQueryMix(), u.Rate, u.Ops, opts)
 	default:
 		return FleetRow{}, fmt.Errorf("experiments: unknown platform %q", u.Platform)
 	}
@@ -256,15 +232,7 @@ func (cfg StudyConfig) FleetScale() (*FleetStudy, error) {
 	if f.Servers < 3 || f.Users <= 0 || f.Ops <= 0 {
 		return nil, fmt.Errorf("experiments: invalid fleet config %+v (need ≥3 servers, positive users and ops)", f)
 	}
-	fus := cfg.fleetUnits()
-	jobs := make([]func() (FleetRow, error), len(fus))
-	units := make([]any, len(fus))
-	for i, u := range fus {
-		u := u
-		jobs[i] = func() (FleetRow, error) { return runFleetPlatform(cfg, u) }
-		units[i] = u
-	}
-	rows, err := runStudy(cfg, fleetUnitKind, units, jobs)
+	rows, err := runUnits(cfg, fleetUnitKind, cfg.fleetUnits())
 	if err != nil {
 		return nil, err
 	}

@@ -124,9 +124,8 @@ func TestFleetScaleDeterministic(t *testing.T) {
 	}
 }
 
-// TestFleetScaleBackends pins the satellite requirement: sketch-mode fleet
-// bytes are identical in-process, through the pool unit path, and across
-// exec worker subprocesses.
+// TestFleetScaleBackends pins that sketch-mode fleet bytes are identical
+// in-process and across exec worker subprocesses.
 func TestFleetScaleBackends(t *testing.T) {
 	base := smallFleetConfig()
 	var ref []byte

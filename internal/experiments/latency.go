@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
-	"hyperprof/internal/netsim"
-	"hyperprof/internal/platform"
 	"hyperprof/internal/spanner"
+	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/workload"
 )
 
@@ -22,39 +20,29 @@ type LatencyPoint struct {
 	P99Seconds float64
 }
 
-// latencyUnitKind tags latency points in the backend work-unit registry.
+// latencyUnitKind tags latency points in the unit registry.
 const latencyUnitKind = "latency/point"
 
-// latencyUnit is the serialized form of one offered-load point.
+// latencyUnit is one offered-load point.
 type latencyUnit struct {
 	Rate float64 `json:"rate"`
 	Ops  int     `json:"ops"`
 }
 
-// runLatencyUnit executes one offered-load point from its wire form.
-func runLatencyUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u latencyUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode latency unit: %w", err)
-	}
-	return runLatencyPoint(cfg.Seed, u.Rate, u.Ops)
-}
-
-// runLatencyPoint drives one fresh Spanner deployment at one offered rate.
-func runLatencyPoint(seed uint64, rate float64, opsPerPoint int) (LatencyPoint, error) {
-	env := platform.NewEnv(seed, 1)
-	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
+// run drives one fresh Spanner deployment at the point's offered rate.
+func (u latencyUnit) run(cfg StudyConfig) (LatencyPoint, error) {
+	env := newPlatformEnv(taxonomy.Spanner, cfg.Seed, 1, ObsConfig{})
 	db, err := spanner.New(env, spanner.DefaultConfig())
 	if err != nil {
 		return LatencyPoint{}, err
 	}
-	res := workload.SpannerOpenLoop(env, db, workload.DefaultSpannerMix(), rate, opsPerPoint)
+	res := workload.SpannerOpenLoop(env, db, workload.DefaultSpannerMix(), u.Rate, u.Ops, workload.OpenLoopOpts{})
 	env.K.Run()
 	if err := res.Err(); err != nil {
 		return LatencyPoint{}, err
 	}
 	return LatencyPoint{
-		RatePerSec: rate,
+		RatePerSec: u.Rate,
 		P50Seconds: res.Latencies.Quantile(0.5),
 		P99Seconds: res.Latencies.Quantile(0.99),
 	}, nil
@@ -70,14 +58,11 @@ func (cfg StudyConfig) Latency(rates []float64, opsPerPoint int) ([]LatencyPoint
 	if opsPerPoint <= 0 {
 		return nil, fmt.Errorf("experiments: opsPerPoint must be positive")
 	}
-	jobs := make([]func() (LatencyPoint, error), len(rates))
-	units := make([]any, len(rates))
+	units := make([]latencyUnit, len(rates))
 	for i, rate := range rates {
-		rate := rate
-		jobs[i] = func() (LatencyPoint, error) { return runLatencyPoint(cfg.Seed, rate, opsPerPoint) }
 		units[i] = latencyUnit{Rate: rate, Ops: opsPerPoint}
 	}
-	return runStudy(cfg, latencyUnitKind, units, jobs)
+	return runUnits(cfg, latencyUnitKind, units)
 }
 
 // RenderLatency renders a latency-under-load curve.

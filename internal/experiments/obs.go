@@ -60,17 +60,19 @@ func MarshalPlatformSeries(m map[taxonomy.Platform][]obs.Series) ([]byte, error)
 func CounterTracks(m map[taxonomy.Platform][]obs.Series) []trace.CounterTrack {
 	var tracks []trace.CounterTrack
 	for _, p := range taxonomy.Platforms() {
-		for _, s := range m[p] {
-			pts := make([]trace.CounterPoint, len(s.Points))
-			for i, pt := range s.Points {
-				pts[i] = trace.CounterPoint{At: pt.T, Value: pt.V}
-			}
-			tracks = append(tracks, trace.CounterTrack{
-				Process: string(p),
-				Name:    s.Name,
-				Points:  pts,
-			})
+		tracks = appendTracks(tracks, string(p), m[p])
+	}
+	return tracks
+}
+
+// appendTracks appends one counter track per series under process.
+func appendTracks(tracks []trace.CounterTrack, process string, series []obs.Series) []trace.CounterTrack {
+	for _, s := range series {
+		pts := make([]trace.CounterPoint, len(s.Points))
+		for i, pt := range s.Points {
+			pts[i] = trace.CounterPoint{At: pt.T, Value: pt.V}
 		}
+		tracks = append(tracks, trace.CounterTrack{Process: process, Name: s.Name, Points: pts})
 	}
 	return tracks
 }

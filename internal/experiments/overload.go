@@ -25,7 +25,6 @@ import (
 	"hyperprof/internal/faults"
 	"hyperprof/internal/netsim"
 	"hyperprof/internal/obs"
-	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
 	"hyperprof/internal/spanner"
 	"hyperprof/internal/stats"
@@ -128,41 +127,29 @@ type Overload struct {
 	Series map[taxonomy.Platform][]obs.Series
 }
 
-// overloadArm is one completed (platform, arm) measurement. Fields are
-// exported because the arm pair is the overload study's wire type: the exec
-// backend ships it between worker and coordinator as JSON.
+// overloadArm is one completed (platform, arm) measurement.
 type overloadArm struct {
 	Row    OverloadRow
 	Series []obs.Series
 }
 
-// overloadUnitKind tags platform arm pairs in the backend registry.
+// overloadUnitKind tags platform arm pairs in the unit registry.
 const overloadUnitKind = "overload/pair"
 
-// overloadUnit is the serialized form of one platform's naive+protected arm
-// pair. The arms share nothing, but pairing them keeps one platform's work
-// on one worker, matching the in-process job granularity.
+// overloadUnit is one platform's naive+protected arm pair. The arms share
+// nothing, but pairing them keeps one platform's work on one worker.
 type overloadUnit struct {
 	Platform taxonomy.Platform `json:"platform"`
 }
 
-// runOverloadUnit executes one platform's arm pair from its wire form.
-func runOverloadUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u overloadUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode overload unit: %w", err)
-	}
+// run runs the platform's naive arm and then its protected arm.
+func (u overloadUnit) run(cfg StudyConfig) ([2]overloadArm, error) {
 	o := &Overload{Cfg: cfg}
-	return o.runPair(u.Platform)
-}
-
-// runPair runs one platform's naive arm and then its protected arm.
-func (o *Overload) runPair(p taxonomy.Platform) ([2]overloadArm, error) {
-	naive, err := o.runArm(p, false)
+	naive, err := o.runArm(u.Platform, false)
 	if err != nil {
 		return [2]overloadArm{}, err
 	}
-	prot, err := o.runArm(p, true)
+	prot, err := o.runArm(u.Platform, true)
 	if err != nil {
 		return [2]overloadArm{}, err
 	}
@@ -171,19 +158,14 @@ func (o *Overload) runPair(p taxonomy.Platform) ([2]overloadArm, error) {
 
 // Row returns the study's row for a platform arm.
 func (o *Overload) Row(p taxonomy.Platform, protected bool) *OverloadRow {
-	for i := range o.Rows {
-		if o.Rows[i].Platform == p && o.Rows[i].Protected == protected {
-			return &o.Rows[i]
-		}
-	}
-	return nil
+	return findRow(o.Rows, func(row *OverloadRow) bool { return row.Platform == p && row.Protected == protected })
 }
 
 // Overload runs the overload study: per platform, a naive and a protected
 // arm of the same open-loop multi-tenant workload through the same
 // retry-storm trigger. The three platforms run concurrently (bounded by
 // cfg.Parallel); each platform's arms share nothing, so arm order within a
-// job is merely conventional.
+// unit is merely conventional.
 func (cfg StudyConfig) Overload() (*Overload, error) {
 	l := cfg.Load
 	if l.Duration <= 0 || l.SpannerRate <= 0 || l.BigTableRate <= 0 || l.BigQueryRate <= 0 {
@@ -195,14 +177,11 @@ func (cfg StudyConfig) Overload() (*Overload, error) {
 	}
 	o := &Overload{Cfg: cfg, Series: map[taxonomy.Platform][]obs.Series{}}
 	platforms := taxonomy.Platforms()
-	jobs := make([]func() ([2]overloadArm, error), len(platforms))
-	units := make([]any, len(platforms))
+	units := make([]overloadUnit, len(platforms))
 	for i, p := range platforms {
-		p := p
-		jobs[i] = func() ([2]overloadArm, error) { return o.runPair(p) }
 		units[i] = overloadUnit{Platform: p}
 	}
-	pairs, err := runStudy(cfg, overloadUnitKind, units, jobs)
+	pairs, err := runUnits(cfg, overloadUnitKind, units)
 	if err != nil {
 		return nil, err
 	}
@@ -217,45 +196,102 @@ func (cfg StudyConfig) Overload() (*Overload, error) {
 	return o, nil
 }
 
+// runArm runs one platform arm: the open-loop multi-tenant workload through
+// the retry-storm trigger, naive or protected.
 func (o *Overload) runArm(p taxonomy.Platform, protected bool) (overloadArm, error) {
+	cfg := o.Cfg
+	l := cfg.Load
+	env := newPlatformEnv(p, cfg.Seed+platformOffset(p), cfg.TraceRate, cfg.Obs)
+	var adm netsim.Admission
+	if protected {
+		adm = o.admission()
+	}
+	var (
+		rate     float64
+		arrivals func(rng *stats.RNG) func() func(p *sim.Proc) error
+		// servers registers the brownout's targets on the engine.
+		servers func(eng *faults.Engine) []string
+		stop    func()
+		// counters copies the platform's overload accounting into the row.
+		counters func(row *OverloadRow)
+	)
 	switch p {
 	case taxonomy.Spanner:
-		return o.runSpanner(protected)
+		scfg := spanner.DefaultConfig()
+		scfg.RPC = o.overloadRPCPolicy(protected, 6*time.Millisecond)
+		scfg.Admission = adm
+		db, err := spanner.New(env, scfg)
+		if err != nil {
+			return overloadArm{}, err
+		}
+		rate = l.SpannerRate
+		arrivals = workload.SpannerArrivals(env, db, workload.DefaultSpannerMix(), "spanner-overload-value-0123456789abcdef")
+		// The brownout slows every replica.
+		servers, stop = db.RegisterFaultTargets, db.Stop
+		counters = func(row *OverloadRow) {
+			shed, adaptive, expired := db.OverloadStats()
+			row.Sheds, row.Expired = shed+adaptive, expired
+			row.clientCounters(db.RPCClient())
+		}
 	case taxonomy.BigTable:
-		return o.runBigTable(protected)
+		bcfg := bigtable.DefaultConfig()
+		bcfg.Admission = adm
+		db, err := bigtable.New(env, bcfg)
+		if err != nil {
+			return overloadArm{}, err
+		}
+		rate = l.BigTableRate
+		arrivals = workload.BigTableArrivals(env, db, workload.DefaultBigTableMix(), "bigtable-overload-value-0123456789abcdef")
+		// BigTable operations execute on the tablet server's node directly
+		// (no RPC queue, no slowdown hook), so the trigger is the flash crowd
+		// alone; overload pressure comes from the surged arrival rate itself.
+		servers = func(*faults.Engine) []string { return nil }
+		counters = func(row *OverloadRow) { row.Sheds = db.Shed + db.ShedAdaptive }
 	case taxonomy.BigQuery:
-		return o.runBigQuery(protected)
+		qcfg := bigquery.DefaultConfig()
+		qcfg.RPC = o.overloadRPCPolicy(protected, 20*time.Millisecond)
+		qcfg.Admission = adm
+		e, err := bigquery.New(env, qcfg)
+		if err != nil {
+			return overloadArm{}, err
+		}
+		rate = l.BigQueryRate
+		arrivals = workload.BigQueryArrivals(env, e, workload.DefaultBigQueryMix())
+		// The brownout slows every shuffle server (registered first).
+		servers = func(eng *faults.Engine) []string { return e.RegisterFaultTargets(eng)[:qcfg.ShuffleServers] }
+		stop = e.Stop
+		counters = func(row *OverloadRow) {
+			shed, adaptive, expired := e.OverloadStats()
+			row.Sheds, row.Expired = shed+adaptive, expired
+			row.clientCounters(e.RPCClient())
+		}
+	default:
+		return overloadArm{}, fmt.Errorf("experiments: unknown platform %q", p)
 	}
-	return overloadArm{}, fmt.Errorf("experiments: unknown platform %q", p)
-}
-
-// governor builds the protected arm's tenant governor (nil for naive arms).
-func (o *Overload) governor(protected bool, env *platform.Env) *netsim.TenantGovernor {
-	if !protected {
-		return nil
+	var gov *netsim.TenantGovernor
+	if protected {
+		gov = netsim.NewTenantGovernor(l.QoSCapacity)
+		gov.EnableMetrics(env.Obs)
 	}
-	gov := netsim.NewTenantGovernor(o.Cfg.Load.QoSCapacity)
-	gov.EnableMetrics(env.Obs)
-	return gov
-}
+	run := workload.Overload(env, workload.OverloadConfig{
+		Duration: l.Duration,
+		Window:   l.Window,
+		Tenants:  overloadTenants(rate),
+		Governor: gov,
+		Shape:    cfg.Shape,
+	}, func(_ string, rng *stats.RNG) func() func(p *sim.Proc) error { return arrivals(rng) })
 
-// trigger injects the retry-storm scenario: a brownout on the given server
-// targets (already registered with the engine) compounded by a flash crowd
-// on the flash tenant. Platforms without a slowdown hook pass no servers and
-// get the flash crowd alone.
-func (o *Overload) trigger(eng *faults.Engine, run *workload.OverloadRun, servers []string) {
-	l := o.Cfg.Load
+	// The retry-storm trigger: a brownout on the servers compounded by a
+	// flash crowd on the flash tenant.
+	eng := faults.NewEngine(env.K)
+	brownout := servers(eng)
 	eng.Register("tenant/flash", faults.Actions{
 		SetRate: func(mult float64) { run.SetRateMult("flash", mult) },
 	})
-	eng.RunScenario(faults.RetryStorm(servers, "tenant/flash", l.TriggerAt, l.TriggerDur, l.SlowFactor, l.FlashMult))
-}
+	eng.RunScenario(faults.RetryStorm(brownout, "tenant/flash", l.TriggerAt, l.TriggerDur, l.SlowFactor, l.FlashMult))
 
-// finish drains the run, stopping the platform behind it, and condenses the
-// measurement into a row. stop runs on the sim clock once the workload is
-// fully drained (the open-loop driver has no shutdown hook of its own).
-func (o *Overload) finish(p taxonomy.Platform, protected bool, env *platform.Env,
-	run *workload.OverloadRun, eng *faults.Engine, stop func()) overloadArm {
+	// Drain the run, then stop the platform behind it on the sim clock (the
+	// open-loop driver has no shutdown hook of its own).
 	env.K.Go("overload-stop", func(sp *sim.Proc) {
 		sp.Wait(run.Done)
 		if stop != nil {
@@ -265,7 +301,6 @@ func (o *Overload) finish(p taxonomy.Platform, protected bool, env *platform.Env
 	env.Obs.Start(env.K)
 	env.K.Run()
 
-	l := o.Cfg.Load
 	postStart := l.Duration * 3 / 4
 	row := OverloadRow{
 		Platform:      p,
@@ -286,7 +321,8 @@ func (o *Overload) finish(p taxonomy.Platform, protected bool, env *platform.Env
 		})
 	}
 	sort.Slice(row.Tenants, func(i, j int) bool { return row.Tenants[i].Name < row.Tenants[j].Name })
-	return overloadArm{Row: row, Series: env.Obs.Snapshot()}
+	counters(&row)
+	return overloadArm{Row: row, Series: env.Obs.Snapshot()}, nil
 }
 
 // clientCounters copies the RPC client's control-plane accounting into a row.
@@ -295,186 +331,6 @@ func (row *OverloadRow) clientCounters(c *netsim.Client) {
 	row.BudgetExhausted = c.BudgetExhausted
 	row.BreakerOpens = c.BreakerOpens
 	row.BreakerFastFails = c.BreakerFastFails
-}
-
-func (o *Overload) runSpanner(protected bool) (overloadArm, error) {
-	cfg := o.Cfg
-	env := platform.NewEnv(cfg.Seed, cfg.TraceRate)
-	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
-	enableStudyObs(cfg, env)
-	scfg := spanner.DefaultConfig()
-	scfg.RPC = o.overloadRPCPolicy(protected, 6*time.Millisecond)
-	if protected {
-		scfg.Admission = o.admission()
-	}
-	db, err := spanner.New(env, scfg)
-	if err != nil {
-		return overloadArm{}, err
-	}
-	gov := o.governor(protected, env)
-	mix := workload.DefaultSpannerMix()
-	run := workload.Overload(env, workload.OverloadConfig{
-		Duration: cfg.Load.Duration,
-		Window:   cfg.Load.Window,
-		Tenants:  overloadTenants(cfg.Load.SpannerRate),
-		Governor: gov,
-		Shape:    cfg.Shape,
-	}, func(tenant string, rng *stats.RNG) func() func(p *sim.Proc) error {
-		picker := stats.NewWeighted(rng, []float64{mix.Reads, mix.Writes, mix.Queries})
-		val := []byte("spanner-overload-value-0123456789abcdef")
-		return func() func(p *sim.Proc) error {
-			g := rng.Intn(db.NumGroups())
-			row := db.PickRow()
-			op := picker.Next()
-			strong := rng.Bool(mix.StrongReadFrac)
-			return func(p *sim.Proc) error {
-				tr := env.Tracer.Start(taxonomy.Spanner, p.Now())
-				var err error
-				switch op {
-				case 0:
-					_, err = db.Read(p, tr, g, row, strong)
-				case 1:
-					err = db.Commit(p, tr, g, row, val)
-				default:
-					_, err = db.Query(p, tr, g, row)
-				}
-				env.Tracer.Finish(tr, p.Now())
-				return err
-			}
-		}
-	})
-	eng := faults.NewEngine(env.K)
-	var servers []string
-	for g := 0; g < scfg.Groups; g++ {
-		for r := 0; r < scfg.Regions; r++ {
-			g, r := g, r
-			name := fmt.Sprintf("spanner/g%d/r%d", g, r)
-			servers = append(servers, name)
-			eng.Register(name, faults.Actions{
-				SetSlowdown: func(f float64) { _ = db.SetReplicaSlowdown(g, r, f) },
-			})
-		}
-	}
-	o.trigger(eng, run, servers)
-	arm := o.finish(taxonomy.Spanner, protected, env, run, eng, db.Stop)
-	shed, adaptive, expired := db.OverloadStats()
-	arm.Row.Sheds = shed + adaptive
-	arm.Row.Expired = expired
-	arm.Row.clientCounters(db.RPCClient())
-	return arm, nil
-}
-
-func (o *Overload) runBigTable(protected bool) (overloadArm, error) {
-	cfg := o.Cfg
-	env := platform.NewEnv(cfg.Seed+1, cfg.TraceRate)
-	enableStudyObs(cfg, env)
-	bcfg := bigtable.DefaultConfig()
-	if protected {
-		bcfg.Admission = o.admission()
-	}
-	db, err := bigtable.New(env, bcfg)
-	if err != nil {
-		return overloadArm{}, err
-	}
-	gov := o.governor(protected, env)
-	mix := workload.DefaultBigTableMix()
-	run := workload.Overload(env, workload.OverloadConfig{
-		Duration: cfg.Load.Duration,
-		Window:   cfg.Load.Window,
-		Tenants:  overloadTenants(cfg.Load.BigTableRate),
-		Governor: gov,
-		Shape:    cfg.Shape,
-	}, func(tenant string, rng *stats.RNG) func() func(p *sim.Proc) error {
-		picker := stats.NewWeighted(rng, []float64{mix.Gets, mix.Puts, mix.Scans})
-		val := []byte("bigtable-overload-value-0123456789abcdef")
-		return func() func(p *sim.Proc) error {
-			t := rng.Intn(db.NumTablets())
-			row := db.PickRow()
-			op := picker.Next()
-			return func(p *sim.Proc) error {
-				tr := env.Tracer.Start(taxonomy.BigTable, p.Now())
-				var err error
-				switch op {
-				case 0:
-					_, err = db.Get(p, tr, t, row)
-				case 1:
-					err = db.Put(p, tr, t, row, val)
-				default:
-					_, err = db.Scan(p, tr, t, row)
-				}
-				env.Tracer.Finish(tr, p.Now())
-				return err
-			}
-		}
-	})
-	// BigTable operations execute on the tablet server's node directly (no
-	// RPC queue, no slowdown hook), so the trigger is the flash crowd alone;
-	// overload pressure comes from the surged arrival rate itself.
-	eng := faults.NewEngine(env.K)
-	o.trigger(eng, run, nil)
-	arm := o.finish(taxonomy.BigTable, protected, env, run, eng, nil)
-	arm.Row.Sheds = db.Shed + db.ShedAdaptive
-	return arm, nil
-}
-
-func (o *Overload) runBigQuery(protected bool) (overloadArm, error) {
-	cfg := o.Cfg
-	env := platform.NewEnv(cfg.Seed+2, cfg.TraceRate)
-	enableStudyObs(cfg, env)
-	qcfg := bigquery.DefaultConfig()
-	qcfg.RPC = o.overloadRPCPolicy(protected, 20*time.Millisecond)
-	if protected {
-		qcfg.Admission = o.admission()
-	}
-	e, err := bigquery.New(env, qcfg)
-	if err != nil {
-		return overloadArm{}, err
-	}
-	gov := o.governor(protected, env)
-	mix := workload.DefaultBigQueryMix()
-	run := workload.Overload(env, workload.OverloadConfig{
-		Duration: cfg.Load.Duration,
-		Window:   cfg.Load.Window,
-		Tenants:  overloadTenants(cfg.Load.BigQueryRate),
-		Governor: gov,
-		Shape:    cfg.Shape,
-	}, func(tenant string, rng *stats.RNG) func() func(p *sim.Proc) error {
-		picker := stats.NewWeighted(rng, []float64{mix.ScanAgg, mix.Join, mix.Report})
-		return func() func(p *sim.Proc) error {
-			q := bigquery.Query{Threshold: int64(rng.Intn(900))}
-			switch picker.Next() {
-			case 0:
-				q.Kind = bigquery.ScanAgg
-			case 1:
-				q.Kind = bigquery.JoinQuery
-			default:
-				q.Kind = bigquery.Report
-			}
-			return func(p *sim.Proc) error {
-				tr := env.Tracer.Start(taxonomy.BigQuery, p.Now())
-				_, err := e.Run(p, tr, q)
-				env.Tracer.Finish(tr, p.Now())
-				return err
-			}
-		}
-	})
-	eng := faults.NewEngine(env.K)
-	var servers []string
-	for i := 0; i < qcfg.ShuffleServers; i++ {
-		i := i
-		name := fmt.Sprintf("bigquery/ss%d", i)
-		servers = append(servers, name)
-		eng.Register(name, faults.Actions{
-			SetSlowdown: func(f float64) { _ = e.SetShuffleSlowdown(i, f) },
-		})
-	}
-	o.trigger(eng, run, servers)
-	arm := o.finish(taxonomy.BigQuery, protected, env, run, eng, e.Stop)
-	shed, adaptive, expired := e.OverloadStats()
-	arm.Row.Sheds = shed + adaptive
-	arm.Row.Expired = expired
-	arm.Row.clientCounters(e.RPCClient())
-	return arm, nil
 }
 
 // JSON renders the study's machine-readable export: the seed and the rows,

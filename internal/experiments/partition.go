@@ -3,18 +3,10 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
-	"hyperprof/internal/bigquery"
-	"hyperprof/internal/bigtable"
-	"hyperprof/internal/check"
 	"hyperprof/internal/faults"
-	"hyperprof/internal/netsim"
-	"hyperprof/internal/platform"
-	"hyperprof/internal/sim"
-	"hyperprof/internal/spanner"
 	"hyperprof/internal/stats"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
@@ -102,32 +94,23 @@ type Partition struct {
 func (s *Partition) Ok() bool { return len(s.Violations) == 0 }
 
 // partitionArm is one completed arm, self-contained for concurrent (or
-// out-of-process) execution and ordered merge; it is the study's wire type.
+// out-of-process) execution and ordered merge.
 type partitionArm struct {
 	Row        PartitionRow
 	Violations []SafetyViolation
 	Marks      []trace.Mark
 }
 
-// partitionUnitKind tags partition arms in the backend work-unit registry.
+// partitionUnitKind tags partition arms in the unit registry.
 const partitionUnitKind = "partition/arm"
 
-// partitionUnit is the serialized form of one (platform, arm, seed) run.
+// partitionUnit is one (platform, arm, seed) run; a zero horizon is the
+// fault-free calibration run.
 type partitionUnit struct {
 	Platform taxonomy.Platform `json:"platform"`
 	Arm      string            `json:"arm"`
 	Seed     uint64            `json:"seed"`
 	Horizon  time.Duration     `json:"horizon"`
-}
-
-// runPartitionUnit executes one partition arm from its wire form.
-func runPartitionUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u partitionUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode partition unit: %w", err)
-	}
-	s := &Partition{Cfg: cfg}
-	return s.runArm(u.Platform, u.Arm, u.Seed, u.Horizon)
 }
 
 // Partition runs the partition study: per platform one fault-free
@@ -142,54 +125,37 @@ func (cfg StudyConfig) Partition() (*Partition, error) {
 	}
 	s := &Partition{Cfg: cfg, Marks: map[taxonomy.Platform][]trace.Mark{}}
 	platforms := taxonomy.Platforms()
-	calJobs := make([]func() (partitionArm, error), len(platforms))
-	calUnits := make([]any, len(platforms))
-	for i, p := range platforms {
-		p := p
-		calJobs[i] = func() (partitionArm, error) { return s.runArm(p, armBaseline, cfg.Seed, 0) }
-		calUnits[i] = partitionUnit{Platform: p, Arm: armBaseline, Seed: cfg.Seed}
+	var calUnits, units []partitionUnit
+	for _, p := range platforms {
+		calUnits = append(calUnits, partitionUnit{Platform: p, Arm: armBaseline, Seed: cfg.Seed})
 	}
-	cals, err := runStudy(cfg, partitionUnitKind, calUnits, calJobs)
+	cals, err := runUnits(cfg, partitionUnitKind, calUnits)
 	if err != nil {
 		return nil, err
 	}
-	var jobs []func() (partitionArm, error)
-	var units []any
 	for i, p := range platforms {
 		horizon := cals[i].Row.Elapsed
 		for j := 0; j < cfg.Check.Seeds; j++ {
 			for _, arm := range []string{armNaive, armHardened} {
-				p, arm, seed := p, arm, cfg.Seed+uint64(j)
-				jobs = append(jobs, func() (partitionArm, error) { return s.runArm(p, arm, seed, horizon) })
-				units = append(units, partitionUnit{Platform: p, Arm: arm, Seed: seed, Horizon: horizon})
+				units = append(units, partitionUnit{Platform: p, Arm: arm, Seed: cfg.Seed + uint64(j), Horizon: horizon})
 			}
 		}
 		// Broken arms exist for Spanner (commit-wait off) and BigTable
 		// (unlogged partition writes); BigQuery's shuffle has no equivalent
 		// split-brain write path to break.
 		if cfg.Part.IncludeBroken && p != taxonomy.BigQuery {
-			p := p
-			jobs = append(jobs, func() (partitionArm, error) { return s.runArm(p, armBroken, cfg.Seed, horizon) })
 			units = append(units, partitionUnit{Platform: p, Arm: armBroken, Seed: cfg.Seed, Horizon: horizon})
 		}
 	}
-	arms, err := runStudy(cfg, partitionUnitKind, units, jobs)
+	arms, err := runUnits(cfg, partitionUnitKind, units)
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range platforms {
 		s.merge(p, cals[i])
 	}
-	next := 0
-	for _, p := range platforms {
-		n := 2 * cfg.Check.Seeds
-		if cfg.Part.IncludeBroken && p != taxonomy.BigQuery {
-			n++
-		}
-		for j := 0; j < n; j++ {
-			s.merge(p, arms[next])
-			next++
-		}
+	for i, u := range units {
+		s.merge(u.Platform, arms[i])
 	}
 	return s, nil
 }
@@ -211,126 +177,48 @@ func (s *Partition) merge(p taxonomy.Platform, arm partitionArm) {
 
 // Row returns the first row matching (platform, arm), or nil.
 func (s *Partition) Row(p taxonomy.Platform, arm string) *PartitionRow {
-	for i := range s.Rows {
-		if s.Rows[i].Platform == p && s.Rows[i].Arm == arm {
-			return &s.Rows[i]
+	return findRow(s.Rows, func(row *PartitionRow) bool { return row.Platform == p && row.Arm == arm })
+}
+
+// run runs the arm's paced clients under the nemesis — partition windows,
+// one optional gray link and clock skew over the calibrated horizon, with a
+// lighter crash schedule riding along — and condenses the run into an arm:
+// availability and goodput from the drive counters, staleness from the
+// recorded history, violations from every checker, and fault marks from the
+// engine. The arm builds its own environment and kernel and touches no study
+// state, so distinct arms may run concurrently.
+func (u partitionUnit) run(cfg StudyConfig) (partitionArm, error) {
+	a, err := newCheckedArm(cfg, u.Platform, u.Arm, u.Seed)
+	if err != nil {
+		return partitionArm{}, err
+	}
+	if u.Horizon > 0 {
+		crash := a.crash
+		if u.Platform == taxonomy.BigQuery {
+			// BigQuery's nemesis crashes shuffle servers only: its
+			// chunkserver (the last crash target) stays up.
+			crash = crash[:len(crash)-1]
 		}
+		part := cfg.Part
+		a.eng.InjectAll(faults.GenerateNemesisSchedule(crash, faults.NemesisConfig{
+			ScheduleConfig:   cfg.Faults.schedule(u.Horizon, a.seed, a.stragglerProb),
+			Nodes:            a.nodes,
+			PartitionTargets: a.partition,
+			PartitionMTBF:    time.Duration(float64(u.Horizon) * part.MTBFFrac),
+			PartitionMTTR:    time.Duration(float64(u.Horizon) * part.MTTRFrac),
+			GrayProb:         part.GrayProb,
+			GrayExtra:        part.GrayExtra,
+			GrayDrop:         part.GrayDrop,
+			ClockTargets:     a.clocks,
+			ClockSkewProb:    part.ClockSkewProb,
+			ClockSkewMax:     part.ClockSkewMax,
+			ClockDriftMax:    part.ClockDriftMax,
+		}))
 	}
-	return nil
-}
-
-func (s *Partition) runArm(p taxonomy.Platform, arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
-	switch p {
-	case taxonomy.Spanner:
-		return s.runSpanner(arm, seed, horizon)
-	case taxonomy.BigTable:
-		return s.runBigTable(arm, seed, horizon)
-	case taxonomy.BigQuery:
-		return s.runBigQuery(arm, seed, horizon)
-	default:
-		return partitionArm{}, fmt.Errorf("experiments: unknown platform %q", p)
-	}
-}
-
-// nemesisFor converts the study's fractional rates into an absolute nemesis
-// config over the calibrated horizon (fault arrivals stop at 80% so heals
-// land while the workload drains). nodes feed link-scoped partitions and the
-// gray link; partitionTargets feed target-scoped partitions instead; clocks
-// name the skewable targets.
-func (s *Partition) nemesisFor(horizon time.Duration, seed uint64, stragglerProb float64,
-	nodes, partitionTargets, clocks []string) faults.NemesisConfig {
-	part := s.Cfg.Part
-	return faults.NemesisConfig{
-		ScheduleConfig: faults.ScheduleConfig{
-			Horizon:         time.Duration(float64(horizon) * 0.8),
-			MTBF:            time.Duration(float64(horizon) * s.Cfg.Faults.MTBFFrac),
-			MTTR:            time.Duration(float64(horizon) * s.Cfg.Faults.MTTRFrac),
-			StragglerProb:   stragglerProb,
-			StragglerFactor: s.Cfg.Faults.StragglerFactor,
-			NetDegradeProb:  s.Cfg.Faults.NetDegradeProb,
-			NetExtraDelay:   s.Cfg.Faults.NetExtraDelay,
-			NetDropProb:     s.Cfg.Faults.NetDropProb,
-			Seed:            seed,
-		},
-		Nodes:            nodes,
-		PartitionTargets: partitionTargets,
-		PartitionMTBF:    time.Duration(float64(horizon) * part.MTBFFrac),
-		PartitionMTTR:    time.Duration(float64(horizon) * part.MTTRFrac),
-		GrayProb:         part.GrayProb,
-		GrayExtra:        part.GrayExtra,
-		GrayDrop:         part.GrayDrop,
-		ClockTargets:     clocks,
-		ClockSkewProb:    part.ClockSkewProb,
-		ClockSkewMax:     part.ClockSkewMax,
-		ClockDriftMax:    part.ClockDriftMax,
-	}
-}
-
-// driveCounts are the per-run operation counters drive accumulates.
-type driveCounts struct {
-	ops, errs, writes, werrs int
-	elapsed                  time.Duration
-}
-
-// drive launches open-loop clients and runs the simulation to completion.
-// op performs one operation and reports whether it was a write. When horizon
-// > 0 each client fires its ops on a fixed schedule spanning the horizon
-// (client offsets stagger the slots): a closed loop would let an arm that
-// fails fast burn its whole op budget inside one fault window while an arm
-// that fails slow rides the window out, so the availability comparison
-// would measure retry latency, not recovery. On a fixed schedule both arms
-// attempt the same op at the same instant, and success depends only on the
-// system's state at that instant.
-func (s *Partition) drive(env *platform.Env, name string, seed uint64, totalOps int, horizon time.Duration,
-	op func(p *sim.Proc, rng *stats.RNG, client, i int) (bool, error)) driveCounts {
-	clients := s.Cfg.Clients
-	per := totalOps / clients
-	if per < 1 {
-		per = 1
-	}
-	slot := horizon / time.Duration(per)
-	root := stats.NewRNG(seed ^ 0x50415254) // "PART"
-	bar := sim.NewBarrier(env.K, clients)
-	var dc driveCounts
-	for c := 0; c < clients; c++ {
-		c := c
-		rng := root.Fork()
-		offset := slot * time.Duration(c) / time.Duration(clients)
-		env.K.Go(fmt.Sprintf("%s-partition-c%d", name, c), func(p *sim.Proc) {
-			defer bar.Done()
-			for i := 0; i < per; i++ {
-				if target := offset + slot*time.Duration(i); p.Now() < target {
-					p.Sleep(target - p.Now())
-				}
-				dc.ops++
-				write, err := op(p, rng, c, i)
-				if write {
-					dc.writes++
-				}
-				if err != nil {
-					dc.errs++
-					if write {
-						dc.werrs++
-					}
-				}
-			}
-		})
-	}
-	env.K.Go(name+"-measure", func(p *sim.Proc) {
-		p.WaitBarrier(bar)
-		dc.elapsed = p.Now()
-	})
-	env.K.Run()
-	return dc
-}
-
-// finish condenses a completed run into an arm: availability and goodput
-// from the drive counters, staleness from the recorded history, violations
-// from every checker, and fault marks from the engine.
-func (s *Partition) finish(p taxonomy.Platform, arm string, seed uint64, env *platform.Env,
-	h *check.History, reg *check.Registry, eng *faults.Engine, dc driveCounts) partitionArm {
+	dc := drive(a.env, u.Platform, "partition", cfg.Clients, cfg.Ops.of(u.Platform),
+		stats.NewRNG(u.Seed^0x50415254), u.Horizon, a.op) // "PART"
 	row := PartitionRow{
-		Platform: p, Arm: arm, Seed: seed,
+		Platform: u.Platform, Arm: u.Arm, Seed: u.Seed,
 		Ops: dc.ops, Errors: dc.errs, Writes: dc.writes, WriteErrors: dc.werrs,
 		Elapsed: dc.elapsed, WriteAvailability: 1,
 	}
@@ -343,302 +231,28 @@ func (s *Partition) finish(p taxonomy.Platform, arm string, seed uint64, env *pl
 	if dc.elapsed > 0 {
 		row.GoodputOpsPerSec = float64(dc.ops-dc.errs) / dc.elapsed.Seconds()
 	}
-	row.StaleReads, row.MaxStaleness = h.Staleness()
-	violations, marks := collect(p, seed, h, reg, env.K.Now())
+	row.StaleReads, row.MaxStaleness = a.h.Staleness()
+	violations, marks := collect(u.Platform, u.Seed, a.h, a.reg, a.env.K.Now())
 	row.Violations = len(violations)
-	out := partitionArm{Row: row, Violations: violations}
-	if eng != nil {
-		row.FaultsApplied = len(eng.Applied)
-		out.Row = row
-		for _, a := range eng.Applied {
-			out.Marks = append(out.Marks, trace.Mark{At: a.At, Name: a.Label()})
-		}
-		out.Marks = append(out.Marks, marks...)
+	out := partitionArm{Violations: violations}
+	if u.Horizon > 0 {
+		row.FaultsApplied = len(a.eng.Applied)
+		out.Marks = append(faultMarks(a.eng), marks...)
 	}
-	return out
-}
-
-func (s *Partition) runSpanner(arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
-	env := platform.NewEnv(seed, 1)
-	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
-	env.Net.SetLinkSeed(seed ^ 0x4c494e4b) // "LINK"
-	scfg := spanner.DefaultConfig()
-	scfg.RPC = resilienceRPCPolicy()
-	scfg.ClockEps = s.Cfg.Part.ClockEps
-	switch arm {
-	case armHardened, armBaseline:
-		scfg.PartitionRecovery = true
-	case armBroken:
-		// BROKEN: recovery stays on so commits keep flowing through skewed
-		// leaders; the safety knob that is off is the commit-wait.
-		scfg.PartitionRecovery = true
-		scfg.DisableCommitWait = true
-	}
-	db, err := spanner.New(env, scfg)
-	if err != nil {
-		return partitionArm{}, err
-	}
-	h := check.NewHistory(env.K)
-	db.SetRecorder(h)
-	reg := &check.Registry{}
-	db.RegisterInvariants(reg)
-	if arm == armBroken {
-		// Deterministic fast clock on every replica of group 0: the offset is
-		// far past the uncertainty bound (and past any commit's replication
-		// latency), so with commit-wait disabled a group-0 commit returns
-		// while its timestamp still sits in other groups' future — any commit
-		// invoked through a healthy group inside that window carries a
-		// smaller timestamp, the inversion the external-consistency checker
-		// must pin with a two-op subhistory. With commit-wait enabled the
-		// same skew would only stretch the wait, never break the ordering.
-		for r := 0; r < scfg.Regions; r++ {
-			if err := db.SetClockSkew(0, r, 20*s.Cfg.Part.ClockEps, 0); err != nil {
-				return partitionArm{}, err
-			}
-		}
-	}
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		eng.RegisterLinkPlane(faults.LinkPlane{
-			Block: env.Net.BlockLink,
-			Gray:  env.Net.SetLinkFault,
-			Heal:  env.Net.HealLink,
-		})
-		// Every replica is a straggler/clock-skew target; only two per group
-		// may crash (a majority always survives crashes — partitions, not
-		// crashes, are this study's quorum threat).
-		var crashable, clocks []string
-		nodeSet := map[string]bool{}
-		var nodes []string
-		for g := 0; g < scfg.Groups; g++ {
-			for r := 0; r < scfg.Regions; r++ {
-				g, r := g, r
-				name := fmt.Sprintf("spanner/g%d/r%d", g, r)
-				a := faults.Actions{
-					SetSlowdown:  func(f float64) { _ = db.SetReplicaSlowdown(g, r, f) },
-					SetClockSkew: func(o time.Duration, d float64) { _ = db.SetClockSkew(g, r, o, d) },
-				}
-				if r == g%scfg.Regions || r == (g+1)%scfg.Regions {
-					a.Crash = func() { _ = db.CrashReplica(g, r) }
-					a.Recover = func() { _ = db.RestartReplica(g, r) }
-					crashable = append(crashable, name)
-				}
-				eng.Register(name, a)
-				// The broken arm's planted group-0 skew must survive the run:
-				// a nemesis skew window would replace it (skew replaces, never
-				// stacks), so group 0 is off the nemesis clock-target list.
-				if !(arm == armBroken && g == 0) {
-					clocks = append(clocks, name)
-				}
-				node, err := db.ReplicaNodeName(g, r)
-				if err != nil {
-					return partitionArm{}, err
-				}
-				if !nodeSet[node] {
-					nodeSet[node] = true
-					nodes = append(nodes, node)
-				}
-			}
-		}
-		sort.Strings(nodes)
-		s.registerNet(eng, env, seed)
-		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
-			s.nemesisFor(horizon, seed, s.Cfg.Faults.StragglerProb, nodes, nil, clocks)))
-	}
-	dc := s.drive(env, "spanner", seed, s.Cfg.Ops.Spanner, horizon,
-		func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
-			g, r := rng.Intn(scfg.Groups), rng.Intn(s.Cfg.Check.HotRows)
-			if rng.Bool(0.5) {
-				_, err := db.Read(p, nil, g, r, rng.Bool(0.15))
-				return false, err
-			}
-			return true, db.Commit(p, nil, g, r, []byte(fmt.Sprintf("s%d/c%d/op%d", seed, c, i)))
-		})
-	return s.finish(taxonomy.Spanner, arm, seed, env, h, reg, eng, dc), nil
-}
-
-func (s *Partition) runBigTable(arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
-	env := platform.NewEnv(seed+1000, 1)
-	bcfg := bigtable.DefaultConfig()
-	switch arm {
-	case armHardened, armBaseline:
-		bcfg.PartitionRecovery = true
-	case armBroken:
-		bcfg.BrokenPartitionWrites = true
-	}
-	db, err := bigtable.New(env, bcfg)
-	if err != nil {
-		return partitionArm{}, err
-	}
-	h := check.NewHistory(env.K)
-	db.SetRecorder(h)
-	reg := &check.Registry{}
-	db.RegisterInvariants(reg)
-	reg.Register("bigtable-dfs", db.DFS().CheckReplicaConsistency)
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		// Even servers may crash, odd servers may be partitioned: the sets are
-		// disjoint so a reassignment destination always exists, and the tablet
-		// data path is not RPC-fronted, so partitions are target-scoped
-		// (platform-level Partition/Heal actions) rather than link-scoped.
-		var partitionable []string
-		for i := 0; i < bcfg.TabletServers; i++ {
-			i := i
-			name := fmt.Sprintf("bigtable/ts%d", i)
-			a := faults.Actions{
-				Partition: func() { _ = db.PartitionTabletServer(i) },
-				Heal:      func() { _ = db.HealTabletServer(i) },
-			}
-			if i%2 == 0 {
-				a.Crash = func() { _ = db.FailTabletServer(i) }
-				a.Recover = func() { _ = db.RecoverTabletServer(i) }
-				eng.Register(name, a)
-			} else {
-				eng.Register(name, a)
-				partitionable = append(partitionable, name)
-			}
-		}
-		eng.Register("bigtable/cs0", faults.Actions{
-			Crash:   func() { _ = db.DFS().FailServer(0) },
-			Recover: func() { _ = db.DFS().RecoverServer(0) },
-		})
-		var crashable []string
-		for i := 0; i < bcfg.TabletServers; i += 2 {
-			crashable = append(crashable, fmt.Sprintf("bigtable/ts%d", i))
-		}
-		crashable = append(crashable, "bigtable/cs0")
-		s.registerNet(eng, env, seed)
-		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
-			s.nemesisFor(horizon, seed+1000, 0, nil, partitionable, nil)))
-	}
-	dc := s.drive(env, "bigtable", seed, s.Cfg.Ops.BigTable, horizon,
-		func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
-			t, r := rng.Intn(bcfg.Tablets), rng.Intn(s.Cfg.Check.HotRows)
-			if arm == armBroken {
-				// Concentrate the demonstration arm on two tablets (one on a
-				// partitionable server) so writes lost to the broken fixture
-				// are reliably re-read after the heal.
-				t %= 2
-			}
-			if rng.Bool(0.5) {
-				_, err := db.Get(p, nil, t, r)
-				return false, err
-			}
-			return true, db.Put(p, nil, t, r, []byte(fmt.Sprintf("s%d/c%d/op%d", seed, c, i)))
-		})
-	return s.finish(taxonomy.BigTable, arm, seed, env, h, reg, eng, dc), nil
-}
-
-func (s *Partition) runBigQuery(arm string, seed uint64, horizon time.Duration) (partitionArm, error) {
-	env := platform.NewEnv(seed+2000, 1)
-	env.Net.SetLinkSeed(seed ^ 0x4c494e4b) // "LINK"
-	qcfg := bigquery.DefaultConfig()
-	qcfg.RPC = resilienceRPCPolicy()
-	if arm == armNaive {
-		qcfg.DisableFailover = true
-	}
-	e, err := bigquery.New(env, qcfg)
-	if err != nil {
-		return partitionArm{}, err
-	}
-	h := check.NewHistory(env.K)
-	e.SetRecorder(h)
-	reg := &check.Registry{}
-	e.RegisterInvariants(reg)
-	reg.Register("bigquery-dfs", e.DFS().CheckReplicaConsistency)
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		eng.RegisterLinkPlane(faults.LinkPlane{
-			Block: env.Net.BlockLink,
-			Gray:  env.Net.SetLinkFault,
-			Heal:  env.Net.HealLink,
-		})
-		var crashable []string
-		for i := 0; i < qcfg.ShuffleServers; i += 2 {
-			i := i
-			name := fmt.Sprintf("bigquery/ss%d", i)
-			crashable = append(crashable, name)
-			eng.Register(name, faults.Actions{
-				Crash:       func() { _ = e.FailShuffleServer(i) },
-				Recover:     func() { _ = e.RecoverShuffleServer(i) },
-				SetSlowdown: func(f float64) { _ = e.SetShuffleSlowdown(i, f) },
-			})
-		}
-		eng.Register("bigquery/cs0", faults.Actions{
-			Crash:   func() { _ = e.DFS().FailServer(0) },
-			Recover: func() { _ = e.DFS().RecoverServer(0) },
-		})
-		// Partition node set: the shuffle tier plus two worker nodes, so
-		// drawn topologies cut worker->shuffle data paths (where failover
-		// matters) as well as intra-tier links.
-		nodeSet := map[string]bool{}
-		var nodes []string
-		addNode := func(name string, err error) error {
-			if err != nil {
-				return err
-			}
-			if !nodeSet[name] {
-				nodeSet[name] = true
-				nodes = append(nodes, name)
-			}
-			return nil
-		}
-		for i := 0; i < qcfg.ShuffleServers; i++ {
-			n, err := e.ShuffleNodeName(i)
-			if err2 := addNode(n, err); err2 != nil {
-				return partitionArm{}, err2
-			}
-		}
-		for w := 0; w < 2 && w < qcfg.Workers; w++ {
-			n, err := e.WorkerNodeName(w)
-			if err2 := addNode(n, err); err2 != nil {
-				return partitionArm{}, err2
-			}
-		}
-		sort.Strings(nodes)
-		s.registerNet(eng, env, seed)
-		eng.InjectAll(faults.GenerateNemesisSchedule(crashable,
-			s.nemesisFor(horizon, seed+2000, s.Cfg.Faults.StragglerProb, nodes, nil, nil)))
-	}
-	kinds := []bigquery.Kind{bigquery.ScanAgg, bigquery.JoinQuery}
-	dc := s.drive(env, "bigquery", seed, s.Cfg.Ops.BigQuery, horizon,
-		func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
-			q := bigquery.Query{Kind: kinds[rng.Intn(len(kinds))], Threshold: int64(rng.Intn(1000))}
-			_, err := e.Run(p, nil, q)
-			return false, err
-		})
-	return s.finish(taxonomy.BigQuery, arm, seed, env, h, reg, eng, dc), nil
-}
-
-func (s *Partition) registerNet(eng *faults.Engine, env *platform.Env, seed uint64) {
-	eng.RegisterNetwork(func(extra time.Duration, drop float64) {
-		env.Net.Degrade(extra, drop, seed^0x4e455444) // "NETD"
-	}, env.Net.Restore)
+	out.Row = row
+	return out, nil
 }
 
 // JSON renders the study's machine-readable export: seed, rows and the
 // broken arms' expected-violation digests, in fixed order, so equal configs
 // produce byte-identical documents on every backend.
 func (s *Partition) JSON() ([]byte, error) {
-	type brokenViolation struct {
-		Seed   uint64
-		Kind   string
-		Key    string
-		Detail string
-	}
-	var broken []brokenViolation
-	for _, v := range s.BrokenViolations {
-		broken = append(broken, brokenViolation{Seed: v.Seed, Kind: v.Kind, Key: v.Key, Detail: v.Detail})
-	}
 	doc := struct {
 		Seed             uint64
 		Rows             []PartitionRow
 		Violations       []SafetyViolation
 		BrokenViolations []brokenViolation
-	}{Seed: s.Cfg.Seed, Rows: s.Rows, Violations: s.Violations, BrokenViolations: broken}
+	}{Seed: s.Cfg.Seed, Rows: s.Rows, Violations: s.Violations, BrokenViolations: brokenDigests(s.BrokenViolations)}
 	return json.MarshalIndent(doc, "", "  ")
 }
 
@@ -664,15 +278,11 @@ func RenderPartition(s *Partition) string {
 		b.WriteString("PASS: no safety violations in baseline/naive/hardened arms\n")
 	} else {
 		fmt.Fprintf(&b, "FAIL: %d safety violations\n", len(s.Violations))
-		for _, v := range s.Violations {
-			fmt.Fprintf(&b, "[seed %d] %s\n", v.Seed, v.Violation.String())
-		}
+		writeViolations(&b, s.Violations)
 	}
 	if len(s.BrokenViolations) > 0 {
 		fmt.Fprintf(&b, "broken-knob arms (expected violations): %d found\n", len(s.BrokenViolations))
-		for _, v := range s.BrokenViolations {
-			fmt.Fprintf(&b, "[seed %d] %s\n", v.Seed, v.Violation.String())
-		}
+		writeViolations(&b, s.BrokenViolations)
 	}
 	return b.String()
 }

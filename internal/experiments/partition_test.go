@@ -156,7 +156,7 @@ func TestPartitionStudyDeterministic(t *testing.T) {
 }
 
 // TestPartitionStudyIdenticalAcrossBackends pins the export bytes across the
-// in-process, pool and exec backends (and, via the runner, the sequential vs
+// in-process and exec backends (and, via the runner, the sequential vs
 // parallel paths): the render, the JSON document and the fault marks must
 // not differ by a byte.
 func TestPartitionStudyIdenticalAcrossBackends(t *testing.T) {

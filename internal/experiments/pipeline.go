@@ -9,7 +9,6 @@ import (
 
 	"hyperprof/internal/bigquery"
 	"hyperprof/internal/bigtable"
-	"hyperprof/internal/check"
 	"hyperprof/internal/faults"
 	"hyperprof/internal/netsim"
 	"hyperprof/internal/obs"
@@ -103,7 +102,7 @@ type Pipeline struct {
 func (s *Pipeline) Ok() bool { return len(s.Violations) == 0 }
 
 // pipelineArm is one completed arm, self-contained for concurrent (or
-// out-of-process) execution and ordered merge; it is the study's wire type.
+// out-of-process) execution and ordered merge.
 type pipelineArm struct {
 	Row        PipelineRow
 	Violations []SafetyViolation
@@ -112,24 +111,14 @@ type pipelineArm struct {
 	Counters   []trace.CounterTrack
 }
 
-// pipelineUnitKind tags pipeline arms in the backend work-unit registry.
+// pipelineUnitKind tags pipeline arms in the unit registry.
 const pipelineUnitKind = "pipeline/arm"
 
-// pipelineUnit is the serialized form of one (arm, seed) run.
+// pipelineUnit is one (arm, seed) run; a zero horizon runs fault-free.
 type pipelineUnit struct {
 	Arm     string        `json:"arm"`
 	Seed    uint64        `json:"seed"`
 	Horizon time.Duration `json:"horizon"`
-}
-
-// runPipelineUnit executes one pipeline arm from its wire form.
-func runPipelineUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u pipelineUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode pipeline unit: %w", err)
-	}
-	s := &Pipeline{Cfg: cfg}
-	return s.runArm(u.Arm, u.Seed, u.Horizon)
 }
 
 // Pipeline runs the cross-platform pipeline study: one fault-free baseline
@@ -143,27 +132,18 @@ func (cfg StudyConfig) Pipeline() (*Pipeline, error) {
 		return nil, fmt.Errorf("experiments: invalid pipeline config %+v", cfg)
 	}
 	s := &Pipeline{Cfg: cfg}
-	calJobs := []func() (pipelineArm, error){
-		func() (pipelineArm, error) { return s.runArm(armBaseline, cfg.Seed, 0) },
-	}
-	calUnits := []any{pipelineUnit{Arm: armBaseline, Seed: cfg.Seed}}
-	cals, err := runStudy(cfg, pipelineUnitKind, calUnits, calJobs)
+	cals, err := runUnits(cfg, pipelineUnitKind, []pipelineUnit{{Arm: armBaseline, Seed: cfg.Seed}})
 	if err != nil {
 		return nil, err
 	}
-	horizon := cals[0].Row.Elapsed
-	var jobs []func() (pipelineArm, error)
-	var units []any
+	var units []pipelineUnit
 	for j := 0; j < cfg.Check.Seeds; j++ {
-		seed := cfg.Seed + uint64(j)
-		jobs = append(jobs, func() (pipelineArm, error) { return s.runArm(armFaulted, seed, horizon) })
-		units = append(units, pipelineUnit{Arm: armFaulted, Seed: seed, Horizon: horizon})
+		units = append(units, pipelineUnit{Arm: armFaulted, Seed: cfg.Seed + uint64(j), Horizon: cals[0].Row.Elapsed})
 	}
 	if cfg.Pipe.IncludeBroken {
-		jobs = append(jobs, func() (pipelineArm, error) { return s.runArm(armBroken, cfg.Seed, 0) })
 		units = append(units, pipelineUnit{Arm: armBroken, Seed: cfg.Seed})
 	}
-	arms, err := runStudy(cfg, pipelineUnitKind, units, jobs)
+	arms, err := runUnits(cfg, pipelineUnitKind, units)
 	if err != nil {
 		return nil, err
 	}
@@ -195,37 +175,15 @@ func (s *Pipeline) merge(arm pipelineArm) {
 
 // Row returns the first row matching arm, or nil.
 func (s *Pipeline) Row(arm string) *PipelineRow {
-	for i := range s.Rows {
-		if s.Rows[i].Arm == arm {
-			return &s.Rows[i]
-		}
-	}
-	return nil
+	return findRow(s.Rows, func(row *PipelineRow) bool { return row.Arm == arm })
 }
 
-// scheduleFor converts the fractional fault rates into an absolute schedule
-// over the calibrated horizon (faults stop arriving at 80% so recoveries land
-// while the pipeline drains).
-func (s *Pipeline) scheduleFor(horizon time.Duration, seed uint64) faults.ScheduleConfig {
-	return faults.ScheduleConfig{
-		Horizon:         time.Duration(float64(horizon) * 0.8),
-		MTBF:            time.Duration(float64(horizon) * s.Cfg.Faults.MTBFFrac),
-		MTTR:            time.Duration(float64(horizon) * s.Cfg.Faults.MTTRFrac),
-		StragglerProb:   s.Cfg.Faults.StragglerProb,
-		StragglerFactor: s.Cfg.Faults.StragglerFactor,
-		NetDegradeProb:  s.Cfg.Faults.NetDegradeProb,
-		NetExtraDelay:   s.Cfg.Faults.NetExtraDelay,
-		NetDropProb:     s.Cfg.Faults.NetDropProb,
-		Seed:            seed,
-	}
-}
-
-// runArm executes one (arm, seed) pipeline run: three platform stacks built
-// on ONE kernel with ONE shared tracer and ONE shared history, the pipeline
+// run executes one (arm, seed) pipeline run: three platform stacks built on
+// ONE kernel with ONE shared tracer and ONE shared history, the pipeline
 // workload chained across them, and — on faulted arms — a fault schedule
 // killing BigQuery shuffle servers over the horizon while batch 0 replays.
-func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipelineArm, error) {
-	cfg := s.Cfg
+func (u pipelineUnit) run(cfg StudyConfig) (pipelineArm, error) {
+	arm, seed, horizon := u.Arm, u.Seed, u.Horizon
 	k := sim.New()
 	// Per-stage environments share the kernel but keep their own networks,
 	// profilers and RNG streams; the seed offsets mirror the safety study's
@@ -274,14 +232,7 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 	// One history across all three stages: the platforms' key namespaces are
 	// disjoint ("g%d/r%d", "t%d/k%d", "q%d/p%d"), so per-key checkers never
 	// mix stages, while cross-stage ordering shares one clock.
-	h := check.NewHistory(k)
-	serving.SetRecorder(h)
-	ingest.SetRecorder(h)
-	analytics.SetRecorder(h)
-	reg := &check.Registry{}
-	serving.RegisterInvariants(reg)
-	ingest.RegisterInvariants(reg)
-	analytics.RegisterInvariants(reg)
+	h, reg := watch(k, serving, ingest, analytics)
 	reg.Register("bigtable-dfs", ingest.DFS().CheckReplicaConsistency)
 	reg.Register("bigquery-dfs", analytics.DFS().CheckReplicaConsistency)
 
@@ -300,27 +251,15 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 
 	var eng *faults.Engine
 	if horizon > 0 {
-		eng = faults.NewEngine(k)
-		// The middle stage is the torture target: every other shuffle server
-		// may crash (or straggle) mid-iteration, plus one DFS chunkserver, so
-		// recovery exercises both re-put failover and speculative stage-1
+		// The middle stage is the torture target: its crash targets (shuffle
+		// servers and a DFS chunkserver) may crash or straggle mid-iteration,
+		// so recovery exercises both re-put failover and speculative stage-1
 		// re-execution while the handoff latch sees a replay.
-		for i := 0; i < qcfg.ShuffleServers; i += 2 {
-			i := i
-			eng.Register(fmt.Sprintf("bigquery/ss%d", i), faults.Actions{
-				Crash:       func() { _ = analytics.FailShuffleServer(i) },
-				Recover:     func() { _ = analytics.RecoverShuffleServer(i) },
-				SetSlowdown: func(f float64) { _ = analytics.SetShuffleSlowdown(i, f) },
-			})
-		}
-		eng.Register("bigquery/cs0", faults.Actions{
-			Crash:   func() { _ = analytics.DFS().FailServer(0) },
-			Recover: func() { _ = analytics.DFS().RecoverServer(0) },
-		})
-		eng.RegisterNetwork(func(extra time.Duration, drop float64) {
-			bqEnv.Net.Degrade(extra, drop, seed^0x4e455444) // "NETD"
-		}, bqEnv.Net.Restore)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.scheduleFor(horizon, seed+2000)))
+		eng = faults.NewEngine(k)
+		analytics.RegisterFaultTargets(eng)
+		registerNetFaults(eng, bqEnv.Net, seed)
+		eng.InjectAll(faults.GenerateSchedule(sorted(analytics.CrashTargets()),
+			cfg.Faults.schedule(horizon, seed+2000, cfg.Faults.StragglerProb)))
 	}
 
 	var elapsed time.Duration
@@ -371,22 +310,13 @@ func (s *Pipeline) runArm(arm string, seed uint64, horizon time.Duration) (pipel
 	out := pipelineArm{Violations: violations}
 	if eng != nil {
 		row.FaultsApplied = len(eng.Applied)
-		for _, a := range eng.Applied {
-			out.Marks = append(out.Marks, trace.Mark{At: a.At, Name: a.Label()})
-		}
-		out.Marks = append(out.Marks, marks...)
+		out.Marks = append(faultMarks(eng), marks...)
 	}
 	out.Row = row
 	if arm == armBaseline && seed == cfg.Seed {
 		out.Traces = tracer.Sampled()
 		for i, r := range regs {
-			for _, series := range r.Snapshot() {
-				track := trace.CounterTrack{Process: stages[i].name, Name: series.Name}
-				for _, pt := range series.Points {
-					track.Points = append(track.Points, trace.CounterPoint{At: pt.T, Value: pt.V})
-				}
-				out.Counters = append(out.Counters, track)
-			}
+			out.Counters = appendTracks(out.Counters, stages[i].name, r.Snapshot())
 		}
 	}
 	return out, nil
@@ -436,22 +366,12 @@ func (s *Pipeline) Chrome() ([]byte, error) {
 // broken arm's expected-violation digests, in fixed order, so equal configs
 // produce byte-identical documents on every backend.
 func (s *Pipeline) JSON() ([]byte, error) {
-	type brokenViolation struct {
-		Seed   uint64
-		Kind   string
-		Key    string
-		Detail string
-	}
-	var broken []brokenViolation
-	for _, v := range s.BrokenViolations {
-		broken = append(broken, brokenViolation{Seed: v.Seed, Kind: v.Kind, Key: v.Key, Detail: v.Detail})
-	}
 	doc := struct {
 		Seed             uint64
 		Rows             []PipelineRow
 		Violations       []SafetyViolation
 		BrokenViolations []brokenViolation
-	}{Seed: s.Cfg.Seed, Rows: s.Rows, Violations: s.Violations, BrokenViolations: broken}
+	}{Seed: s.Cfg.Seed, Rows: s.Rows, Violations: s.Violations, BrokenViolations: brokenDigests(s.BrokenViolations)}
 	return json.MarshalIndent(doc, "", "  ")
 }
 
@@ -491,15 +411,11 @@ func RenderPipeline(s *Pipeline) string {
 		b.WriteString("PASS: exactly-once handoff held across every baseline/faulted arm\n")
 	} else {
 		fmt.Fprintf(&b, "FAIL: %d violations\n", len(s.Violations))
-		for _, v := range s.Violations {
-			fmt.Fprintf(&b, "[seed %d] %s\n", v.Seed, v.Violation.String())
-		}
+		writeViolations(&b, s.Violations)
 	}
 	if len(s.BrokenViolations) > 0 {
 		fmt.Fprintf(&b, "broken-handoff arm (expected violations): %d found\n", len(s.BrokenViolations))
-		for _, v := range s.BrokenViolations {
-			fmt.Fprintf(&b, "[seed %d] %s\n", v.Seed, v.Violation.String())
-		}
+		writeViolations(&b, s.BrokenViolations)
 	}
 	return b.String()
 }

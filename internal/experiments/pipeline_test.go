@@ -45,9 +45,8 @@ func pipelineExport(t *testing.T, s *Pipeline) []byte {
 }
 
 // TestPipelineStudyIdenticalAcrossBackends pins the work-unit contract: the
-// pipeline study's full export is byte-identical whether its arms run as
-// in-process closures, through the serialized unit registry, or across
-// worker subprocesses.
+// pipeline study's full export is byte-identical whether its units run
+// in-process or across worker subprocesses.
 func TestPipelineStudyIdenticalAcrossBackends(t *testing.T) {
 	var want []byte
 	for _, backend := range studyBackends {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"hyperprof/internal/bigquery"
 	"hyperprof/internal/bigtable"
 	"hyperprof/internal/faults"
-	"hyperprof/internal/netsim"
 	"hyperprof/internal/obs"
 	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
@@ -19,18 +17,6 @@ import (
 	"hyperprof/internal/trace"
 	"hyperprof/internal/workload"
 )
-
-// resilienceRPCPolicy is the client-side policy both arms run with: a few
-// quick retries so transient faults (crashed replica, dropped message, shed
-// request) are retried instead of surfacing as operation errors. No deadline
-// is set; hedging is exercised separately in the netsim tests.
-func resilienceRPCPolicy() netsim.Policy {
-	return netsim.Policy{
-		MaxAttempts: 3,
-		BackoffBase: 200 * time.Microsecond,
-		BackoffMax:  2 * time.Millisecond,
-	}
-}
 
 // ResilienceRow is one (platform, arm) measurement.
 type ResilienceRow struct {
@@ -69,10 +55,8 @@ type Resilience struct {
 // resilienceArm is one completed (platform, arm) measurement plus the traces,
 // fault marks and observability series the faulted arm exports, kept
 // arm-local so platforms can run on concurrent goroutines — or in worker
-// subprocesses — and merge afterwards in platform order. Fields are
-// exported because the arm pair is the resilience study's wire type: the
-// exec backend ships it between worker and coordinator as JSON (trace.Trace
-// round-trips its sampling state through custom JSON for exactly this).
+// subprocesses — and merge afterwards in platform order (trace.Trace
+// round-trips its sampling state through custom JSON for the latter).
 type resilienceArm struct {
 	Row    ResilienceRow
 	Traces []*trace.Trace
@@ -80,34 +64,23 @@ type resilienceArm struct {
 	Series []obs.Series
 }
 
-// resilienceUnitKind tags platform arm pairs in the backend registry.
+// resilienceUnitKind tags platform arm pairs in the unit registry.
 const resilienceUnitKind = "resilience/pair"
 
-// resilienceUnit is the serialized form of one platform's baseline+faulted
-// arm pair. The pair stays one unit because the fault schedule spans the
-// measured baseline horizon.
+// resilienceUnit is one platform's baseline+faulted arm pair. The pair stays
+// one unit because the fault schedule spans the measured baseline horizon.
 type resilienceUnit struct {
 	Platform taxonomy.Platform `json:"platform"`
 }
 
-// runResilienceUnit executes one platform's arm pair from its wire form.
-func runResilienceUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u resilienceUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode resilience unit: %w", err)
-	}
-	r := &Resilience{Cfg: cfg}
-	return r.runPair(u.Platform)
-}
-
-// runPair runs one platform's baseline arm and then, over the measured
-// horizon, its faulted arm.
-func (r *Resilience) runPair(p taxonomy.Platform) ([2]resilienceArm, error) {
-	base, err := r.runArm(p, 0)
+// run runs the platform's baseline arm and then, over the measured horizon,
+// its faulted arm.
+func (u resilienceUnit) run(cfg StudyConfig) ([2]resilienceArm, error) {
+	base, err := runResilienceArm(cfg, u.Platform, 0)
 	if err != nil {
 		return [2]resilienceArm{}, err
 	}
-	faulted, err := r.runArm(p, base.Row.Elapsed)
+	faulted, err := runResilienceArm(cfg, u.Platform, base.Row.Elapsed)
 	if err != nil {
 		return [2]resilienceArm{}, err
 	}
@@ -131,14 +104,11 @@ func (cfg StudyConfig) Resilience() (*Resilience, error) {
 		Series: map[taxonomy.Platform][]obs.Series{},
 	}
 	platforms := taxonomy.Platforms()
-	jobs := make([]func() ([2]resilienceArm, error), len(platforms))
-	units := make([]any, len(platforms))
+	units := make([]resilienceUnit, len(platforms))
 	for i, p := range platforms {
-		p := p
-		jobs[i] = func() ([2]resilienceArm, error) { return r.runPair(p) }
 		units[i] = resilienceUnit{Platform: p}
 	}
-	pairs, err := runStudy(cfg, resilienceUnitKind, units, jobs)
+	pairs, err := runUnits(cfg, resilienceUnitKind, units)
 	if err != nil {
 		return nil, err
 	}
@@ -159,160 +129,75 @@ func (cfg StudyConfig) Resilience() (*Resilience, error) {
 
 // Row returns the study's row for a platform arm.
 func (r *Resilience) Row(p taxonomy.Platform, faulted bool) *ResilienceRow {
-	for i := range r.Rows {
-		if r.Rows[i].Platform == p && r.Rows[i].Faulted == faulted {
-			return &r.Rows[i]
-		}
-	}
-	return nil
+	return findRow(r.Rows, func(row *ResilienceRow) bool { return row.Platform == p && row.Faulted == faulted })
 }
 
-// scheduleConfig converts the study's fractional fault rates into an
-// absolute schedule over the measured horizon. Faults stop arriving at 80%
-// of the horizon so recoveries land while the workload is still draining.
-// stragglerProb overrides the configured probability so platforms whose
-// targets cannot straggle (BigTable's tablet servers are not RPC-fronted)
-// get crash-only schedules instead of dead skipped events.
-func (r *Resilience) scheduleConfig(horizon time.Duration, seed uint64, stragglerProb float64) faults.ScheduleConfig {
-	return faults.ScheduleConfig{
-		Horizon:         time.Duration(float64(horizon) * 0.8),
-		MTBF:            time.Duration(float64(horizon) * r.Cfg.Faults.MTBFFrac),
-		MTTR:            time.Duration(float64(horizon) * r.Cfg.Faults.MTTRFrac),
-		StragglerProb:   stragglerProb,
-		StragglerFactor: r.Cfg.Faults.StragglerFactor,
-		NetDegradeProb:  r.Cfg.Faults.NetDegradeProb,
-		NetExtraDelay:   r.Cfg.Faults.NetExtraDelay,
-		NetDropProb:     r.Cfg.Faults.NetDropProb,
-		Seed:            seed,
-	}
-}
-
-// runArm runs one platform arm. A zero horizon is the baseline (no faults);
-// a positive horizon is the faulted arm with a schedule spanning it. The arm
-// builds its own environment and kernel and touches no study state, so
-// distinct platforms may run concurrently.
-func (r *Resilience) runArm(p taxonomy.Platform, horizon time.Duration) (resilienceArm, error) {
+// runResilienceArm runs one platform arm of the closed-loop characterization
+// workload. A zero horizon is the baseline (no faults); a positive horizon
+// is the faulted arm, whose crash and straggler schedule over the platform's
+// crash targets (one replica per Spanner group) spans it. The arm builds its
+// own environment and kernel and touches no study state, so distinct
+// platforms may run concurrently.
+func runResilienceArm(cfg StudyConfig, p taxonomy.Platform, horizon time.Duration) (resilienceArm, error) {
+	seed := cfg.Seed + platformOffset(p)
+	env := newPlatformEnv(p, seed, cfg.TraceRate, cfg.Obs)
+	eng := faults.NewEngine(env.K)
+	opts := workload.ClosedLoopOpts{Shape: cfg.Shape}
+	var (
+		start         func() *workload.Run
+		crash         []string
+		stragglerProb = cfg.Faults.StragglerProb
+	)
 	switch p {
 	case taxonomy.Spanner:
-		return r.runSpanner(horizon)
+		scfg := spanner.DefaultConfig()
+		scfg.RPC = resilienceRPCPolicy()
+		db, err := spanner.New(env, scfg)
+		if err != nil {
+			return resilienceArm{}, err
+		}
+		db.RegisterFaultTargets(eng)
+		crash = db.CrashTargets(1)
+		start = func() *workload.Run {
+			return workload.Spanner(env, db, workload.DefaultSpannerMix(), cfg.Clients, cfg.Ops.Spanner, opts)
+		}
 	case taxonomy.BigTable:
-		return r.runBigTable(horizon)
+		db, err := bigtable.New(env, bigtable.DefaultConfig())
+		if err != nil {
+			return resilienceArm{}, err
+		}
+		db.RegisterFaultTargets(eng)
+		crash, stragglerProb = db.CrashTargets(), 0
+		start = func() *workload.Run {
+			return workload.BigTable(env, db, workload.DefaultBigTableMix(), cfg.Clients, cfg.Ops.BigTable, opts)
+		}
 	case taxonomy.BigQuery:
-		return r.runBigQuery(horizon)
-	}
-	return resilienceArm{}, fmt.Errorf("experiments: unknown platform %q", p)
-}
-
-func (r *Resilience) runSpanner(horizon time.Duration) (resilienceArm, error) {
-	env := platform.NewEnv(r.Cfg.Seed, r.Cfg.TraceRate)
-	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
-	enableStudyObs(r.Cfg, env)
-	scfg := spanner.DefaultConfig()
-	scfg.RPC = resilienceRPCPolicy()
-	db, err := spanner.New(env, scfg)
-	if err != nil {
-		return resilienceArm{}, err
-	}
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		// One replica per group is injectable, so a majority always
-		// survives and no acknowledged write can be lost. The target region
-		// cycles with the group index, so initial leaders (region 0) are
-		// crashed too and elections are exercised.
-		for g := 0; g < scfg.Groups; g++ {
-			g, region := g, g%scfg.Regions
-			eng.Register(fmt.Sprintf("spanner/g%d/r%d", g, region), faults.Actions{
-				Crash:       func() { _ = db.CrashReplica(g, region) },
-				Recover:     func() { _ = db.RestartReplica(g, region) },
-				SetSlowdown: func(f float64) { _ = db.SetReplicaSlowdown(g, region, f) },
-			})
+		qcfg := bigquery.DefaultConfig()
+		qcfg.RPC = resilienceRPCPolicy()
+		e, err := bigquery.New(env, qcfg)
+		if err != nil {
+			return resilienceArm{}, err
 		}
-		r.registerNetwork(eng, env)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.scheduleConfig(horizon, r.Cfg.Seed, r.Cfg.Faults.StragglerProb)))
-	}
-	run := workload.Spanner(env, db, workload.DefaultSpannerMix(), r.Cfg.Clients, r.Cfg.Ops.Spanner,
-		workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
-	return r.measure(taxonomy.Spanner, env, run, eng)
-}
-
-func (r *Resilience) runBigTable(horizon time.Duration) (resilienceArm, error) {
-	env := platform.NewEnv(r.Cfg.Seed+1, r.Cfg.TraceRate)
-	enableStudyObs(r.Cfg, env)
-	db, err := bigtable.New(env, bigtable.DefaultConfig())
-	if err != nil {
-		return resilienceArm{}, err
-	}
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		// Every other tablet server is injectable (the rest always survive,
-		// so reassignment always has a destination), plus one DFS
-		// chunkserver to drive commit-log and read failover.
-		for i := 0; i < bigtable.DefaultConfig().TabletServers; i += 2 {
-			i := i
-			eng.Register(fmt.Sprintf("bigtable/ts%d", i), faults.Actions{
-				Crash:   func() { _ = db.FailTabletServer(i) },
-				Recover: func() { _ = db.RecoverTabletServer(i) },
-			})
+		e.RegisterFaultTargets(eng)
+		crash = e.CrashTargets()
+		start = func() *workload.Run {
+			return workload.BigQuery(env, e, workload.DefaultBigQueryMix(), cfg.Clients, cfg.Ops.BigQuery, opts)
 		}
-		eng.Register("bigtable/cs0", faults.Actions{
-			Crash:   func() { _ = db.DFS().FailServer(0) },
-			Recover: func() { _ = db.DFS().RecoverServer(0) },
-		})
-		r.registerNetwork(eng, env)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.scheduleConfig(horizon, r.Cfg.Seed+1, 0)))
+	default:
+		return resilienceArm{}, fmt.Errorf("experiments: unknown platform %q", p)
 	}
-	run := workload.BigTable(env, db, workload.DefaultBigTableMix(), r.Cfg.Clients, r.Cfg.Ops.BigTable,
-		workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
-	return r.measure(taxonomy.BigTable, env, run, eng)
-}
-
-func (r *Resilience) runBigQuery(horizon time.Duration) (resilienceArm, error) {
-	env := platform.NewEnv(r.Cfg.Seed+2, r.Cfg.TraceRate)
-	enableStudyObs(r.Cfg, env)
-	qcfg := bigquery.DefaultConfig()
-	qcfg.RPC = resilienceRPCPolicy()
-	e, err := bigquery.New(env, qcfg)
-	if err != nil {
-		return resilienceArm{}, err
-	}
-	var eng *faults.Engine
 	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		// Every other shuffle server is injectable so puts always have a
-		// live destination; lost slots are speculatively re-executed.
-		for i := 0; i < qcfg.ShuffleServers; i += 2 {
-			i := i
-			eng.Register(fmt.Sprintf("bigquery/ss%d", i), faults.Actions{
-				Crash:       func() { _ = e.FailShuffleServer(i) },
-				Recover:     func() { _ = e.RecoverShuffleServer(i) },
-				SetSlowdown: func(f float64) { _ = e.SetShuffleSlowdown(i, f) },
-			})
-		}
-		eng.Register("bigquery/cs0", faults.Actions{
-			Crash:   func() { _ = e.DFS().FailServer(0) },
-			Recover: func() { _ = e.DFS().RecoverServer(0) },
-		})
-		r.registerNetwork(eng, env)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), r.scheduleConfig(horizon, r.Cfg.Seed+2, r.Cfg.Faults.StragglerProb)))
+		registerNetFaults(eng, env.Net, cfg.Seed)
+		eng.InjectAll(faults.GenerateSchedule(sorted(crash), cfg.Faults.schedule(horizon, seed, stragglerProb)))
 	}
-	run := workload.BigQuery(env, e, workload.DefaultBigQueryMix(), r.Cfg.Clients, r.Cfg.Ops.BigQuery,
-		workload.ClosedLoopOpts{Shape: r.Cfg.Shape})
-	return r.measure(taxonomy.BigQuery, env, run, eng)
+	return measureResilience(p, env, start(), eng, horizon > 0), nil
 }
 
-func (r *Resilience) registerNetwork(eng *faults.Engine, env *platform.Env) {
-	eng.RegisterNetwork(func(extra time.Duration, drop float64) {
-		env.Net.Degrade(extra, drop, r.Cfg.Seed^0x4e455444) // "NETD"
-	}, env.Net.Restore)
-}
-
-// measure drains the scheduled workload and condenses it into an arm-local
-// result. Elapsed is the instant the workload drains, not the kernel's final
-// time: recovery events from the fault schedule may fire after the last
-// operation.
-func (r *Resilience) measure(p taxonomy.Platform, env *platform.Env, run *workload.Run, eng *faults.Engine) (resilienceArm, error) {
+// measureResilience drains the scheduled workload and condenses it into an
+// arm-local result. Elapsed is the instant the workload drains, not the
+// kernel's final time: recovery events from the fault schedule may fire
+// after the last operation.
+func measureResilience(p taxonomy.Platform, env *platform.Env, run *workload.Run, eng *faults.Engine, faulted bool) resilienceArm {
 	var elapsed time.Duration
 	env.K.Go("resilience-measure", func(mp *sim.Proc) {
 		mp.Wait(run.Done)
@@ -322,7 +207,7 @@ func (r *Resilience) measure(p taxonomy.Platform, env *platform.Env, run *worklo
 	env.K.Run()
 	row := ResilienceRow{
 		Platform: p,
-		Faulted:  eng != nil,
+		Faulted:  faulted,
 		Ops:      run.Completed,
 		Errors:   len(run.Errors),
 		Elapsed:  elapsed,
@@ -344,16 +229,13 @@ func (r *Resilience) measure(p taxonomy.Platform, env *platform.Env, run *worklo
 		row.P999 = time.Duration(lat.Quantile(0.999) * float64(time.Second))
 	}
 	arm := resilienceArm{Row: row, Series: env.Obs.Snapshot()}
-	if eng != nil {
+	if faulted {
 		arm.Row.FaultsApplied = len(eng.Applied)
 		arm.Row.FaultEvents = eng.Applied
 		arm.Traces = traces
-		arm.Marks = make([]trace.Mark, 0, len(eng.Applied))
-		for _, a := range eng.Applied {
-			arm.Marks = append(arm.Marks, trace.Mark{At: a.At, Name: a.Label()})
-		}
+		arm.Marks = faultMarks(eng)
 	}
-	return arm, nil
+	return arm
 }
 
 // RenderResilience renders the study as a fixed-width table with a per-row

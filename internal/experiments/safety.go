@@ -1,19 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
-	"hyperprof/internal/bigquery"
-	"hyperprof/internal/bigtable"
 	"hyperprof/internal/check"
 	"hyperprof/internal/faults"
-	"hyperprof/internal/netsim"
-	"hyperprof/internal/platform"
-	"hyperprof/internal/sim"
-	"hyperprof/internal/spanner"
 	"hyperprof/internal/stats"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
@@ -63,77 +56,80 @@ type Safety struct {
 	Marks map[taxonomy.Platform][]trace.Mark
 }
 
+// brokenViolation is the JSON export's digest of one expected broken-arm
+// finding (the minimal violating history is left out).
+type brokenViolation struct {
+	Seed              uint64
+	Kind, Key, Detail string
+}
+
+// brokenDigests condenses broken-arm findings for a JSON export.
+func brokenDigests(vs []SafetyViolation) []brokenViolation {
+	var out []brokenViolation
+	for _, v := range vs {
+		out = append(out, brokenViolation{Seed: v.Seed, Kind: v.Kind, Key: v.Key, Detail: v.Detail})
+	}
+	return out
+}
+
+// writeViolations renders findings in full, one per line with the seed
+// that reproduces it.
+func writeViolations(b *strings.Builder, vs []SafetyViolation) {
+	for _, v := range vs {
+		fmt.Fprintf(b, "[seed %d] %s\n", v.Seed, v.Violation.String())
+	}
+}
+
 // Ok reports whether the study finished with zero violations.
 func (s *Safety) Ok() bool { return len(s.Violations) == 0 }
 
 // safetyArm is one completed (platform, seed) torture run, self-contained so
 // arms can execute on concurrent goroutines — or in worker subprocesses —
-// and merge afterwards in fixed (platform, seed) order. Fields are exported
-// because the arm is the safety study's wire type: the exec backend ships it
-// between worker and coordinator as JSON.
+// and merge afterwards in fixed (platform, seed) order.
 type safetyArm struct {
 	Row        SafetyRow
 	Violations []SafetyViolation
 	Marks      []trace.Mark
 }
 
-// safetyUnitKind tags safety arms in the backend work-unit registry.
+// safetyUnitKind tags safety arms in the unit registry.
 const safetyUnitKind = "safety/arm"
 
-// safetyUnit is the serialized form of one (platform, seed, horizon) arm.
+// safetyUnit is one (platform, seed) arm. A zero horizon is the fault-free
+// calibration run; a positive horizon is a torture run with a fault
+// schedule spanning it.
 type safetyUnit struct {
 	Platform taxonomy.Platform `json:"platform"`
 	Seed     uint64            `json:"seed"`
 	Horizon  time.Duration     `json:"horizon"`
 }
 
-// runSafetyUnit executes one safety arm from its wire form (exec backend
-// workers and the pool backend both land here).
-func runSafetyUnit(cfg StudyConfig, body json.RawMessage) (any, error) {
-	var u safetyUnit
-	if err := json.Unmarshal(body, &u); err != nil {
-		return nil, fmt.Errorf("experiments: decode safety unit: %w", err)
-	}
-	s := &Safety{Cfg: cfg}
-	return s.runOne(u.Platform, u.Seed, u.Horizon)
-}
-
 // Safety runs the torture harness: per platform, one fault-free calibration
 // run (whose elapsed time becomes the fault-schedule horizon) followed by
 // Check.Seeds faulted runs. Equal configs replay bit-identically, and the
-// parallel runner fans the arms out in two waves — the three calibration
-// runs, then every faulted (platform, seed) arm — merging results in the
-// same order the sequential loop produced.
+// arms fan out in two waves — the three calibration runs, then every
+// faulted (platform, seed) arm — merging results in the same order the
+// sequential loop produced.
 func (cfg StudyConfig) Safety() (*Safety, error) {
 	if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 || cfg.Check.HotRows <= 0 {
 		return nil, fmt.Errorf("experiments: invalid safety config %+v", cfg)
 	}
 	s := &Safety{Cfg: cfg, Marks: map[taxonomy.Platform][]trace.Mark{}}
 	platforms := taxonomy.Platforms()
-	calJobs := make([]func() (safetyArm, error), len(platforms))
-	calUnits := make([]any, len(platforms))
-	for i, p := range platforms {
-		p := p
-		calJobs[i] = func() (safetyArm, error) { return s.runOne(p, cfg.Seed, 0) }
-		calUnits[i] = safetyUnit{Platform: p, Seed: cfg.Seed}
+	var calUnits, tortureUnits []safetyUnit
+	for _, p := range platforms {
+		calUnits = append(calUnits, safetyUnit{Platform: p, Seed: cfg.Seed})
 	}
-	cals, err := runStudy(cfg, safetyUnitKind, calUnits, calJobs)
+	cals, err := runUnits(cfg, safetyUnitKind, calUnits)
 	if err != nil {
 		return nil, err
 	}
-	var tortureJobs []func() (safetyArm, error)
-	var tortureUnits []any
 	for i, p := range platforms {
-		horizon := cals[i].Row.Elapsed
 		for j := 0; j < cfg.Check.Seeds; j++ {
-			p, seed := p, cfg.Seed+uint64(j)
-			tortureJobs = append(tortureJobs, func() (safetyArm, error) {
-				return s.runOne(p, seed, horizon)
-			})
-			tortureUnits = append(tortureUnits, safetyUnit{Platform: p, Seed: seed, Horizon: horizon})
+			tortureUnits = append(tortureUnits, safetyUnit{Platform: p, Seed: cfg.Seed + uint64(j), Horizon: cals[i].Row.Elapsed})
 		}
 	}
-	tortured, err := runStudy(cfg, safetyUnitKind, tortureUnits, tortureJobs)
+	tortured, err := runUnits(cfg, safetyUnitKind, tortureUnits)
 	if err != nil {
 		return nil, err
 	}
@@ -154,249 +150,23 @@ func (s *Safety) merge(p taxonomy.Platform, arm safetyArm) {
 	s.Marks[p] = append(s.Marks[p], arm.Marks...)
 }
 
-// runOne runs one (platform, seed) arm. A zero horizon is the fault-free
-// calibration run; a positive horizon is a torture run with a fault schedule
-// spanning it. The arm builds its own environment and kernel and touches no
-// study state, so distinct arms may run concurrently.
-func (s *Safety) runOne(p taxonomy.Platform, seed uint64, horizon time.Duration) (safetyArm, error) {
-	switch p {
-	case taxonomy.Spanner:
-		return s.runSpanner(seed, horizon)
-	case taxonomy.BigTable:
-		return s.runBigTable(seed, horizon)
-	case taxonomy.BigQuery:
-		return s.runBigQuery(seed, horizon)
-	default:
-		return safetyArm{}, fmt.Errorf("experiments: unknown platform %q", p)
-	}
-}
-
-// scheduleFor converts the fractional fault rates into an absolute schedule
-// over the calibrated horizon (faults stop arriving at 80% so recoveries
-// land while the workload drains).
-func (s *Safety) scheduleFor(horizon time.Duration, seed uint64, stragglerProb float64) faults.ScheduleConfig {
-	return faults.ScheduleConfig{
-		Horizon:         time.Duration(float64(horizon) * 0.8),
-		MTBF:            time.Duration(float64(horizon) * s.Cfg.Faults.MTBFFrac),
-		MTTR:            time.Duration(float64(horizon) * s.Cfg.Faults.MTTRFrac),
-		StragglerProb:   stragglerProb,
-		StragglerFactor: s.Cfg.Faults.StragglerFactor,
-		NetDegradeProb:  s.Cfg.Faults.NetDegradeProb,
-		NetExtraDelay:   s.Cfg.Faults.NetExtraDelay,
-		NetDropProb:     s.Cfg.Faults.NetDropProb,
-		Seed:            seed,
-	}
-}
-
-// drive launches the closed-loop torture clients and runs the simulation to
-// completion. op performs one operation; it gets the client's private RNG
-// and (client, op) indices so it can build globally unique write values.
-func (s *Safety) drive(env *platform.Env, name string, seed uint64, totalOps int,
-	op func(p *sim.Proc, rng *stats.RNG, client, i int) error) (ops, errs int, elapsed time.Duration) {
-	clients := s.Cfg.Clients
-	per := totalOps / clients
-	if per < 1 {
-		per = 1
-	}
-	root := stats.NewRNG(seed ^ 0x53414645) // "SAFE"
-	bar := sim.NewBarrier(env.K, clients)
-	for c := 0; c < clients; c++ {
-		c := c
-		rng := root.Fork()
-		env.K.Go(fmt.Sprintf("%s-torture-c%d", name, c), func(p *sim.Proc) {
-			defer bar.Done()
-			for i := 0; i < per; i++ {
-				ops++
-				if err := op(p, rng, c, i); err != nil {
-					errs++
-				}
-			}
-		})
-	}
-	env.K.Go(name+"-measure", func(p *sim.Proc) {
-		p.WaitBarrier(bar)
-		elapsed = p.Now()
-	})
-	env.K.Run()
-	return ops, errs, elapsed
-}
-
-// collect drains every checker after a run — linearizability over the
-// recorded history, structural violations, and the standing invariants —
-// tagging findings with platform and seed. It returns the arm-local findings
-// and marks; the caller folds them into the study during the ordered merge.
-func collect(p taxonomy.Platform, seed uint64, h *check.History, reg *check.Registry, at time.Duration) ([]SafetyViolation, []trace.Mark) {
-	var vs []check.Violation
-	vs = append(vs, h.CheckLinearizability()...)
-	vs = append(vs, h.CheckExternalConsistency()...)
-	vs = append(vs, h.Structural()...)
-	vs = append(vs, reg.Check(at)...)
-	var out []SafetyViolation
-	var marks []trace.Mark
-	for _, v := range vs {
-		v.Platform = string(p)
-		out = append(out, SafetyViolation{Seed: seed, Violation: v})
-		marks = append(marks, trace.Mark{
-			At:   v.At,
-			Name: fmt.Sprintf("VIOLATION %s %s (seed %d)", v.Kind, v.Key, seed),
-		})
-	}
-	return out, marks
-}
-
-func (s *Safety) registerNet(eng *faults.Engine, env *platform.Env, seed uint64) {
-	eng.RegisterNetwork(func(extra time.Duration, drop float64) {
-		env.Net.Degrade(extra, drop, seed^0x4e455444) // "NETD"
-	}, env.Net.Restore)
-}
-
-func (s *Safety) runSpanner(seed uint64, horizon time.Duration) (safetyArm, error) {
-	env := platform.NewEnv(seed, 1)
-	env.Net = netsim.New(env.K, spanner.RecommendedNetConfig())
-	scfg := spanner.DefaultConfig()
-	scfg.RPC = resilienceRPCPolicy()
-	db, err := spanner.New(env, scfg)
+// run runs the arm's closed-loop torture clients, injecting crash and
+// straggler faults over the platform's crash targets when the arm has a
+// horizon, and drains every checker. The arm builds its own environment and
+// kernel and touches no study state, so distinct arms may run concurrently.
+func (u safetyUnit) run(cfg StudyConfig) (safetyArm, error) {
+	a, err := newCheckedArm(cfg, u.Platform, "", u.Seed)
 	if err != nil {
 		return safetyArm{}, err
 	}
-	h := check.NewHistory(env.K)
-	db.SetRecorder(h)
-	reg := &check.Registry{}
-	db.RegisterInvariants(reg)
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		// Two replicas per group are injectable. Overlapping windows can take
-		// a group below quorum — operations then fail with ErrNoQuorum, which
-		// is availability loss the checker tolerates; electing or serving
-		// from a minority would be the safety loss it does not.
-		for g := 0; g < scfg.Groups; g++ {
-			for _, region := range []int{g % scfg.Regions, (g + 1) % scfg.Regions} {
-				g, region := g, region
-				eng.Register(fmt.Sprintf("spanner/g%d/r%d", g, region), faults.Actions{
-					Crash:       func() { _ = db.CrashReplica(g, region) },
-					Recover:     func() { _ = db.RestartReplica(g, region) },
-					SetSlowdown: func(f float64) { _ = db.SetReplicaSlowdown(g, region, f) },
-				})
-			}
-		}
-		s.registerNet(eng, env, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.scheduleFor(horizon, seed, s.Cfg.Faults.StragglerProb)))
+	if u.Horizon > 0 {
+		a.eng.InjectAll(faults.GenerateSchedule(sorted(a.crash), cfg.Faults.schedule(u.Horizon, a.seed, a.stragglerProb)))
 	}
-	ops, errs, elapsed := s.drive(env, "spanner", seed, s.Cfg.Ops.Spanner,
-		func(p *sim.Proc, rng *stats.RNG, c, i int) error {
-			g, r := rng.Intn(scfg.Groups), rng.Intn(s.Cfg.Check.HotRows)
-			if rng.Bool(0.5) {
-				_, err := db.Read(p, nil, g, r, rng.Bool(0.15))
-				return err
-			}
-			return db.Commit(p, nil, g, r, []byte(fmt.Sprintf("s%d/c%d/op%d", seed, c, i)))
-		})
-	arm := safetyArm{Row: SafetyRow{Platform: taxonomy.Spanner, Seed: seed, Faulted: eng != nil,
-		Ops: ops, Errors: errs, Elapsed: elapsed}}
-	if eng != nil {
-		arm.Row.FaultsApplied = len(eng.Applied)
-	}
-	arm.Violations, arm.Marks = collect(taxonomy.Spanner, seed, h, reg, env.K.Now())
-	arm.Row.Violations = len(arm.Violations)
-	return arm, nil
-}
-
-func (s *Safety) runBigTable(seed uint64, horizon time.Duration) (safetyArm, error) {
-	env := platform.NewEnv(seed+1000, 1)
-	bcfg := bigtable.DefaultConfig()
-	db, err := bigtable.New(env, bcfg)
-	if err != nil {
-		return safetyArm{}, err
-	}
-	h := check.NewHistory(env.K)
-	db.SetRecorder(h)
-	reg := &check.Registry{}
-	db.RegisterInvariants(reg)
-	reg.Register("bigtable-dfs", db.DFS().CheckReplicaConsistency)
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		// Every other tablet server plus one chunkserver, as in the
-		// resilience study: crashes force tablet reassignment and commit-log
-		// replay, the exact recovery paths the checkers guard.
-		for i := 0; i < bcfg.TabletServers; i += 2 {
-			i := i
-			eng.Register(fmt.Sprintf("bigtable/ts%d", i), faults.Actions{
-				Crash:   func() { _ = db.FailTabletServer(i) },
-				Recover: func() { _ = db.RecoverTabletServer(i) },
-			})
-		}
-		eng.Register("bigtable/cs0", faults.Actions{
-			Crash:   func() { _ = db.DFS().FailServer(0) },
-			Recover: func() { _ = db.DFS().RecoverServer(0) },
-		})
-		s.registerNet(eng, env, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.scheduleFor(horizon, seed+1000, 0)))
-	}
-	ops, errs, elapsed := s.drive(env, "bigtable", seed, s.Cfg.Ops.BigTable,
-		func(p *sim.Proc, rng *stats.RNG, c, i int) error {
-			t, r := rng.Intn(bcfg.Tablets), rng.Intn(s.Cfg.Check.HotRows)
-			if rng.Bool(0.5) {
-				_, err := db.Get(p, nil, t, r)
-				return err
-			}
-			return db.Put(p, nil, t, r, []byte(fmt.Sprintf("s%d/c%d/op%d", seed, c, i)))
-		})
-	arm := safetyArm{Row: SafetyRow{Platform: taxonomy.BigTable, Seed: seed, Faulted: eng != nil,
-		Ops: ops, Errors: errs, Elapsed: elapsed}}
-	if eng != nil {
-		arm.Row.FaultsApplied = len(eng.Applied)
-	}
-	arm.Violations, arm.Marks = collect(taxonomy.BigTable, seed, h, reg, env.K.Now())
-	arm.Row.Violations = len(arm.Violations)
-	return arm, nil
-}
-
-func (s *Safety) runBigQuery(seed uint64, horizon time.Duration) (safetyArm, error) {
-	env := platform.NewEnv(seed+2000, 1)
-	qcfg := bigquery.DefaultConfig()
-	qcfg.RPC = resilienceRPCPolicy()
-	e, err := bigquery.New(env, qcfg)
-	if err != nil {
-		return safetyArm{}, err
-	}
-	h := check.NewHistory(env.K)
-	e.SetRecorder(h)
-	reg := &check.Registry{}
-	e.RegisterInvariants(reg)
-	reg.Register("bigquery-dfs", e.DFS().CheckReplicaConsistency)
-	var eng *faults.Engine
-	if horizon > 0 {
-		eng = faults.NewEngine(env.K)
-		for i := 0; i < qcfg.ShuffleServers; i += 2 {
-			i := i
-			eng.Register(fmt.Sprintf("bigquery/ss%d", i), faults.Actions{
-				Crash:       func() { _ = e.FailShuffleServer(i) },
-				Recover:     func() { _ = e.RecoverShuffleServer(i) },
-				SetSlowdown: func(f float64) { _ = e.SetShuffleSlowdown(i, f) },
-			})
-		}
-		eng.Register("bigquery/cs0", faults.Actions{
-			Crash:   func() { _ = e.DFS().FailServer(0) },
-			Recover: func() { _ = e.DFS().RecoverServer(0) },
-		})
-		s.registerNet(eng, env, seed)
-		eng.InjectAll(faults.GenerateSchedule(eng.Targets(), s.scheduleFor(horizon, seed+2000, s.Cfg.Faults.StragglerProb)))
-	}
-	kinds := []bigquery.Kind{bigquery.ScanAgg, bigquery.JoinQuery}
-	ops, errs, elapsed := s.drive(env, "bigquery", seed, s.Cfg.Ops.BigQuery,
-		func(p *sim.Proc, rng *stats.RNG, c, i int) error {
-			q := bigquery.Query{Kind: kinds[rng.Intn(len(kinds))], Threshold: int64(rng.Intn(1000))}
-			_, err := e.Run(p, nil, q)
-			return err
-		})
-	arm := safetyArm{Row: SafetyRow{Platform: taxonomy.BigQuery, Seed: seed, Faulted: eng != nil,
-		Ops: ops, Errors: errs, Elapsed: elapsed}}
-	if eng != nil {
-		arm.Row.FaultsApplied = len(eng.Applied)
-	}
-	arm.Violations, arm.Marks = collect(taxonomy.BigQuery, seed, h, reg, env.K.Now())
+	dc := drive(a.env, u.Platform, "torture", cfg.Clients, cfg.Ops.of(u.Platform),
+		stats.NewRNG(u.Seed^0x53414645), 0, a.op) // "SAFE"
+	arm := safetyArm{Row: SafetyRow{Platform: u.Platform, Seed: u.Seed, Faulted: u.Horizon > 0,
+		Ops: dc.ops, Errors: dc.errs, Elapsed: dc.elapsed, FaultsApplied: len(a.eng.Applied)}}
+	arm.Violations, arm.Marks = collect(u.Platform, u.Seed, a.h, a.reg, a.env.K.Now())
 	arm.Row.Violations = len(arm.Violations)
 	return arm, nil
 }
@@ -423,8 +193,6 @@ func RenderSafety(s *Safety) string {
 		return b.String()
 	}
 	fmt.Fprintf(&b, "FAIL: %d safety violations\n", len(s.Violations))
-	for _, v := range s.Violations {
-		fmt.Fprintf(&b, "[seed %d] %s\n", v.Seed, v.Violation.String())
-	}
+	writeViolations(&b, s.Violations)
 	return b.String()
 }

@@ -12,12 +12,24 @@ import (
 	"time"
 
 	"hyperprof/internal/obs"
+	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/workload"
 )
 
 // PlatformOps is the per-platform operation budget of a study.
 type PlatformOps struct {
 	Spanner, BigTable, BigQuery int
+}
+
+// of returns platform p's budget.
+func (o PlatformOps) of(p taxonomy.Platform) int {
+	switch p {
+	case taxonomy.Spanner:
+		return o.Spanner
+	case taxonomy.BigTable:
+		return o.BigTable
+	}
+	return o.BigQuery
 }
 
 // FaultConfig groups the fault-injection rates shared by the safety and
@@ -225,9 +237,9 @@ type ExecConfig struct {
 }
 
 // StudyConfig is the shared core every study runs from. Construct one with a
-// Default*StudyConfig helper (or convert a legacy config via Study()) and
-// call the study's method entry point: Characterize, Safety, Resilience or
-// Observe.
+// Default*StudyConfig helper and call the study's method entry point
+// (Characterize, Safety, Resilience, Observe, Overload, Partition,
+// FleetScale, Pipeline or Latency).
 type StudyConfig struct {
 	// Seed drives all randomness. Studies derive per-platform and per-arm
 	// seeds from it, so equal configs replay bit-identically.
@@ -236,11 +248,10 @@ type StudyConfig struct {
 	// 0 = one worker per CPU, 1 = sequential. Results are byte-identical
 	// either way (see runner.go).
 	Parallel int
-	// Backend selects the study execution backend: "" runs jobs directly on
-	// the in-process worker pool (the legacy fast path), BackendPool routes
-	// them through the pool backend's serialized work-unit path, and
-	// BackendExec fans them out across hyperprof -worker subprocesses.
-	// Outputs are byte-identical across all three (see backend.go).
+	// Backend selects where a study's work units run: "" calls them on the
+	// in-process worker pool, and BackendExec fans them out across
+	// hyperprof -worker subprocesses. Outputs are byte-identical on both
+	// (see backend.go).
 	Backend string
 	// Exec sizes the exec backend; ignored unless Backend is BackendExec.
 	Exec ExecConfig

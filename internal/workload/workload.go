@@ -301,109 +301,106 @@ func openLoop(env *platform.Env, name string, ratePerSec float64, total int, opt
 	return res
 }
 
-// SpannerOpenLoop schedules an open-loop Spanner workload (Poisson arrivals
-// at ratePerSec).
-func SpannerOpenLoop(env *platform.Env, db *spanner.DB, mix SpannerMix, ratePerSec float64, total int) *OpenLoopResult {
-	return SpannerOpenLoopWithOpts(env, db, mix, ratePerSec, total, OpenLoopOpts{})
-}
-
-// SpannerOpenLoopWithOpts is SpannerOpenLoop with arrival shaping and
-// recorder selection.
-func SpannerOpenLoopWithOpts(env *platform.Env, db *spanner.DB, mix SpannerMix, ratePerSec float64, total int, opts OpenLoopOpts) *OpenLoopResult {
+// SpannerOpenLoop schedules an open-loop Spanner workload: Poisson arrivals
+// at ratePerSec, shaped and recorded as opts says.
+func SpannerOpenLoop(env *platform.Env, db *spanner.DB, mix SpannerMix, ratePerSec float64, total int, opts OpenLoopOpts) *OpenLoopResult {
 	return openLoop(env, "spanner-openloop", ratePerSec, total, opts,
-		func(rng *stats.RNG) func() func(p *sim.Proc) error {
-			picker := stats.NewWeighted(rng, []float64{mix.Reads, mix.Writes, mix.Queries})
-			val := []byte("spanner-openloop-value-0123456789abcdef")
-			return func() func(p *sim.Proc) error {
-				g := rng.Intn(db.NumGroups())
-				row := db.PickRow()
-				op := picker.Next()
-				strong := rng.Bool(mix.StrongReadFrac)
-				return func(p *sim.Proc) error {
-					tr := env.Tracer.Start(taxonomy.Spanner, p.Now())
-					var err error
-					switch op {
-					case 0:
-						_, err = db.Read(p, tr, g, row, strong)
-					case 1:
-						err = db.Commit(p, tr, g, row, val)
-					default:
-						_, err = db.Query(p, tr, g, row)
-					}
-					env.Tracer.Finish(tr, p.Now())
-					return err
-				}
-			}
-		},
-		db.Stop)
+		SpannerArrivals(env, db, mix, "spanner-openloop-value-0123456789abcdef"), db.Stop)
 }
 
-// BigTableOpenLoop schedules an open-loop BigTable workload (Poisson
-// arrivals at ratePerSec).
-func BigTableOpenLoop(env *platform.Env, db *bigtable.DB, mix BigTableMix, ratePerSec float64, total int) *OpenLoopResult {
-	return BigTableOpenLoopWithOpts(env, db, mix, ratePerSec, total, OpenLoopOpts{})
-}
-
-// BigTableOpenLoopWithOpts is BigTableOpenLoop with arrival shaping and
-// recorder selection.
-func BigTableOpenLoopWithOpts(env *platform.Env, db *bigtable.DB, mix BigTableMix, ratePerSec float64, total int, opts OpenLoopOpts) *OpenLoopResult {
+// BigTableOpenLoop schedules an open-loop BigTable workload: Poisson
+// arrivals at ratePerSec, shaped and recorded as opts says.
+func BigTableOpenLoop(env *platform.Env, db *bigtable.DB, mix BigTableMix, ratePerSec float64, total int, opts OpenLoopOpts) *OpenLoopResult {
 	return openLoop(env, "bigtable-openloop", ratePerSec, total, opts,
-		func(rng *stats.RNG) func() func(p *sim.Proc) error {
-			picker := stats.NewWeighted(rng, []float64{mix.Gets, mix.Puts, mix.Scans})
-			val := []byte("bigtable-openloop-value-0123456789abcdef")
-			return func() func(p *sim.Proc) error {
-				tb := rng.Intn(db.NumTablets())
-				row := db.PickRow()
-				op := picker.Next()
-				return func(p *sim.Proc) error {
-					tr := env.Tracer.Start(taxonomy.BigTable, p.Now())
-					var err error
-					switch op {
-					case 0:
-						_, err = db.Get(p, tr, tb, row)
-					case 1:
-						err = db.Put(p, tr, tb, row, val)
-					default:
-						_, err = db.Scan(p, tr, tb, row)
-					}
-					env.Tracer.Finish(tr, p.Now())
-					return err
-				}
-			}
-		},
-		nil)
+		BigTableArrivals(env, db, mix, "bigtable-openloop-value-0123456789abcdef"), nil)
 }
 
-// BigQueryOpenLoop schedules an open-loop BigQuery workload (Poisson
-// arrivals at ratePerSec), completing the open-loop driver set across all
-// three platforms.
-func BigQueryOpenLoop(env *platform.Env, e *bigquery.Engine, mix BigQueryMix, ratePerSec float64, total int) *OpenLoopResult {
-	return BigQueryOpenLoopWithOpts(env, e, mix, ratePerSec, total, OpenLoopOpts{})
+// BigQueryOpenLoop schedules an open-loop BigQuery workload: Poisson
+// arrivals at ratePerSec, shaped and recorded as opts says.
+func BigQueryOpenLoop(env *platform.Env, e *bigquery.Engine, mix BigQueryMix, ratePerSec float64, total int, opts OpenLoopOpts) *OpenLoopResult {
+	return openLoop(env, "bigquery-openloop", ratePerSec, total, opts, BigQueryArrivals(env, e, mix), e.Stop)
 }
 
-// BigQueryOpenLoopWithOpts is BigQueryOpenLoop with arrival shaping and
-// recorder selection.
-func BigQueryOpenLoopWithOpts(env *platform.Env, e *bigquery.Engine, mix BigQueryMix, ratePerSec float64, total int, opts OpenLoopOpts) *OpenLoopResult {
-	return openLoop(env, "bigquery-openloop", ratePerSec, total, opts,
-		func(rng *stats.RNG) func() func(p *sim.Proc) error {
-			picker := stats.NewWeighted(rng, []float64{mix.ScanAgg, mix.Join, mix.Report})
-			return func() func(p *sim.Proc) error {
-				q := bigquery.Query{Threshold: int64(rng.Intn(900))}
-				switch picker.Next() {
+// SpannerArrivals is the arrival source of an open-loop Spanner mix. Bound
+// to an RNG, it returns a generator whose every call draws one arrival's
+// group, Zipf row and operation and returns the traced operation; commits
+// write val.
+func SpannerArrivals(env *platform.Env, db *spanner.DB, mix SpannerMix, val string) func(rng *stats.RNG) func() func(p *sim.Proc) error {
+	return func(rng *stats.RNG) func() func(p *sim.Proc) error {
+		picker := stats.NewWeighted(rng, []float64{mix.Reads, mix.Writes, mix.Queries})
+		val := []byte(val)
+		return func() func(p *sim.Proc) error {
+			g := rng.Intn(db.NumGroups())
+			row := db.PickRow()
+			op := picker.Next()
+			strong := rng.Bool(mix.StrongReadFrac)
+			return func(p *sim.Proc) error {
+				tr := env.Tracer.Start(taxonomy.Spanner, p.Now())
+				var err error
+				switch op {
 				case 0:
-					q.Kind = bigquery.ScanAgg
+					_, err = db.Read(p, tr, g, row, strong)
 				case 1:
-					q.Kind = bigquery.JoinQuery
+					err = db.Commit(p, tr, g, row, val)
 				default:
-					q.Kind = bigquery.Report
+					_, err = db.Query(p, tr, g, row)
 				}
-				return func(p *sim.Proc) error {
-					tr := env.Tracer.Start(taxonomy.BigQuery, p.Now())
-					_, err := e.Run(p, tr, q)
-					env.Tracer.Finish(tr, p.Now())
-					return err
-				}
+				env.Tracer.Finish(tr, p.Now())
+				return err
 			}
-		},
-		e.Stop)
+		}
+	}
+}
+
+// BigTableArrivals is the arrival source of an open-loop BigTable mix (see
+// SpannerArrivals); puts write val.
+func BigTableArrivals(env *platform.Env, db *bigtable.DB, mix BigTableMix, val string) func(rng *stats.RNG) func() func(p *sim.Proc) error {
+	return func(rng *stats.RNG) func() func(p *sim.Proc) error {
+		picker := stats.NewWeighted(rng, []float64{mix.Gets, mix.Puts, mix.Scans})
+		val := []byte(val)
+		return func() func(p *sim.Proc) error {
+			tb := rng.Intn(db.NumTablets())
+			row := db.PickRow()
+			op := picker.Next()
+			return func(p *sim.Proc) error {
+				tr := env.Tracer.Start(taxonomy.BigTable, p.Now())
+				var err error
+				switch op {
+				case 0:
+					_, err = db.Get(p, tr, tb, row)
+				case 1:
+					err = db.Put(p, tr, tb, row, val)
+				default:
+					_, err = db.Scan(p, tr, tb, row)
+				}
+				env.Tracer.Finish(tr, p.Now())
+				return err
+			}
+		}
+	}
+}
+
+// BigQueryArrivals is the arrival source of an open-loop BigQuery mix (see
+// SpannerArrivals).
+func BigQueryArrivals(env *platform.Env, e *bigquery.Engine, mix BigQueryMix) func(rng *stats.RNG) func() func(p *sim.Proc) error {
+	return func(rng *stats.RNG) func() func(p *sim.Proc) error {
+		picker := stats.NewWeighted(rng, []float64{mix.ScanAgg, mix.Join, mix.Report})
+		return func() func(p *sim.Proc) error {
+			q := bigquery.Query{Threshold: int64(rng.Intn(900))}
+			switch picker.Next() {
+			case 0:
+				q.Kind = bigquery.ScanAgg
+			case 1:
+				q.Kind = bigquery.JoinQuery
+			default:
+				q.Kind = bigquery.Report
+			}
+			return func(p *sim.Proc) error {
+				tr := env.Tracer.Start(taxonomy.BigQuery, p.Now())
+				_, err := e.Run(p, tr, q)
+				env.Tracer.Finish(tr, p.Now())
+				return err
+			}
+		}
+	}
 }
