@@ -1,6 +1,7 @@
-// Package cluster is the repository's Borg equivalent (§2.1): it owns a
-// fleet of homogeneous machines across regions and racks, provisions their
-// storage tiers, and places platform worker tasks with spreading policies.
+// Package cluster builds the fleet the platforms run on (§2.1): homogeneous
+// machines across regions and racks, each a network node with its own
+// provisioned storage tiers. Platforms place their tasks by iterating
+// Machines.
 package cluster
 
 import (
@@ -25,41 +26,15 @@ type Spec struct {
 // Machines returns the total machine count.
 func (s Spec) Machines() int { return s.Regions * s.RacksPerRegion * s.MachinesPerRack }
 
-// Machine is one schedulable server: a network node plus its local tiered
-// store and a free-core account.
+// Machine is one server: a network node plus its local tiered store.
 type Machine struct {
-	Node      *netsim.Node
-	Store     *storage.TieredStore
-	cores     int
-	freeCores int
+	Node  *netsim.Node
+	Store *storage.TieredStore
 }
 
-// FreeCores returns the machine's unallocated cores.
-func (m *Machine) FreeCores() int { return m.freeCores }
-
-// Cores returns the machine's total cores.
-func (m *Machine) Cores() int { return m.cores }
-
-// Policy selects how tasks spread over the fleet.
-type Policy int
-
-// Placement policies.
-const (
-	// SpreadRacks places consecutive tasks on distinct racks first (the
-	// default for serving tasks).
-	SpreadRacks Policy = iota
-	// SpreadRegions places consecutive tasks on distinct regions first
-	// (for replicated quorums).
-	SpreadRegions
-	// Pack fills machines in order (for batch work).
-	Pack
-)
-
-// Manager owns the fleet and performs placement.
+// Manager owns the fleet.
 type Manager struct {
-	net      *netsim.Network
 	machines []*Machine
-	next     int // rotation cursor for spreading
 }
 
 // NewManager builds the fleet described by spec on the given network.
@@ -70,7 +45,7 @@ func NewManager(net *netsim.Network, spec Spec) (*Manager, error) {
 	if spec.CoresPerMachine <= 0 {
 		return nil, fmt.Errorf("cluster: cores per machine must be positive")
 	}
-	m := &Manager{net: net}
+	m := &Manager{}
 	for r := 0; r < spec.Regions; r++ {
 		for rack := 0; rack < spec.RacksPerRegion; rack++ {
 			for i := 0; i < spec.MachinesPerRack; i++ {
@@ -80,12 +55,7 @@ func NewManager(net *netsim.Network, spec Spec) (*Manager, error) {
 				if err != nil {
 					return nil, err
 				}
-				m.machines = append(m.machines, &Machine{
-					Node:      node,
-					Store:     store,
-					cores:     spec.CoresPerMachine,
-					freeCores: spec.CoresPerMachine,
-				})
+				m.machines = append(m.machines, &Machine{Node: node, Store: store})
 			}
 		}
 	}
@@ -94,110 +64,3 @@ func NewManager(net *netsim.Network, spec Spec) (*Manager, error) {
 
 // Machines returns all machines in the fleet.
 func (m *Manager) Machines() []*Machine { return m.machines }
-
-// Network returns the fleet's network.
-func (m *Manager) Network() *netsim.Network { return m.net }
-
-// Allocate places count tasks each needing cores cores, returning the chosen
-// machines (a machine may host several tasks if it has the cores). It fails
-// without side effects if the fleet cannot host the request.
-func (m *Manager) Allocate(cores, count int, policy Policy) ([]*Machine, error) {
-	if cores <= 0 || count <= 0 {
-		return nil, fmt.Errorf("cluster: invalid request %d cores x %d tasks", cores, count)
-	}
-	order := m.placementOrder(policy)
-	chosen := make([]*Machine, 0, count)
-	// Two passes: trial on a copy of free-core counts, then commit.
-	free := make(map[*Machine]int, len(order))
-	for _, mc := range order {
-		free[mc] = mc.freeCores
-	}
-	idx := 0
-	for len(chosen) < count {
-		placed := false
-		for probe := 0; probe < len(order); probe++ {
-			mc := order[(idx+probe)%len(order)]
-			if free[mc] >= cores {
-				free[mc] -= cores
-				chosen = append(chosen, mc)
-				if policy != Pack {
-					// Spreading policies move on after each placement;
-					// Pack keeps filling the same machine.
-					idx = (idx + probe + 1) % len(order)
-				} else {
-					idx = (idx + probe) % len(order)
-				}
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			return nil, fmt.Errorf("cluster: cannot place %d tasks x %d cores (placed %d)", count, cores, len(chosen))
-		}
-	}
-	for _, mc := range chosen {
-		mc.freeCores -= cores
-	}
-	if policy != Pack {
-		m.next = (m.next + count) % len(m.machines)
-	}
-	return chosen, nil
-}
-
-// Release returns cores to each listed machine.
-func (m *Manager) Release(cores int, machines []*Machine) {
-	for _, mc := range machines {
-		mc.freeCores += cores
-		if mc.freeCores > mc.cores {
-			mc.freeCores = mc.cores
-		}
-	}
-}
-
-// placementOrder returns machines ordered per policy, rotated by the cursor
-// so successive allocations spread load.
-func (m *Manager) placementOrder(policy Policy) []*Machine {
-	n := len(m.machines)
-	out := make([]*Machine, 0, n)
-	switch policy {
-	case Pack:
-		out = append(out, m.machines...)
-	case SpreadRegions, SpreadRacks:
-		// Round-robin across the spread domain: visit machines in an order
-		// that cycles through domains before revisiting one.
-		domains := map[int][]*Machine{}
-		var keys []int
-		for _, mc := range m.machines {
-			d := mc.Node.Rack + mc.Node.Region*1000
-			if policy == SpreadRegions {
-				d = mc.Node.Region
-			}
-			if _, ok := domains[d]; !ok {
-				keys = append(keys, d)
-			}
-			domains[d] = append(domains[d], mc)
-		}
-		for i := 0; len(out) < n; i++ {
-			for _, k := range keys {
-				if i < len(domains[k]) {
-					out = append(out, domains[k][i])
-				}
-			}
-		}
-	}
-	if policy == Pack {
-		return out
-	}
-	// Rotate by cursor for load spreading across allocations.
-	start := m.next % n
-	return append(out[start:], out[:start]...)
-}
-
-// TotalFreeCores sums free cores across the fleet.
-func (m *Manager) TotalFreeCores() int {
-	total := 0
-	for _, mc := range m.machines {
-		total += mc.freeCores
-	}
-	return total
-}

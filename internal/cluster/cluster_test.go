@@ -36,17 +36,11 @@ func TestFleetConstruction(t *testing.T) {
 	if got := len(m.Machines()); got != 24 {
 		t.Fatalf("machines = %d, want 24", got)
 	}
-	if got := m.TotalFreeCores(); got != 24*8 {
-		t.Fatalf("free cores = %d", got)
-	}
 	regions := map[int]int{}
 	for _, mc := range m.Machines() {
 		regions[mc.Node.Region]++
 		if mc.Store == nil || mc.Store.Capacity(storage.RAM) != 1<<30 {
 			t.Fatal("store not provisioned")
-		}
-		if mc.Cores() != 8 || mc.FreeCores() != 8 {
-			t.Fatal("core accounting")
 		}
 	}
 	if regions[0] != 12 || regions[1] != 12 {
@@ -69,97 +63,5 @@ func TestSpecValidation(t *testing.T) {
 	s.Storage = storage.Capacities{storage.RAM: 0, storage.SSD: 1, storage.HDD: 1}
 	if _, err := NewManager(net, s); err == nil {
 		t.Fatal("invalid storage accepted")
-	}
-}
-
-func TestAllocateSpreadRacks(t *testing.T) {
-	m := testManager(t)
-	// 6 tasks over 6 racks: each on a distinct rack.
-	got, err := m.Allocate(2, 6, SpreadRacks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	racks := map[[2]int]bool{}
-	for _, mc := range got {
-		key := [2]int{mc.Node.Region, mc.Node.Rack}
-		if racks[key] {
-			t.Fatalf("rack %v used twice", key)
-		}
-		racks[key] = true
-		if mc.FreeCores() != 6 {
-			t.Fatalf("free cores = %d, want 6", mc.FreeCores())
-		}
-	}
-}
-
-func TestAllocateSpreadRegions(t *testing.T) {
-	m := testManager(t)
-	got, err := m.Allocate(1, 2, SpreadRegions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Node.Region == got[1].Node.Region {
-		t.Fatalf("both replicas in region %d", got[0].Node.Region)
-	}
-}
-
-func TestAllocatePack(t *testing.T) {
-	m := testManager(t)
-	got, err := m.Allocate(4, 2, Pack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != got[1] {
-		t.Fatal("pack should co-locate while cores remain")
-	}
-	if got[0].FreeCores() != 0 {
-		t.Fatalf("free cores = %d", got[0].FreeCores())
-	}
-}
-
-func TestAllocateExhaustionIsAtomic(t *testing.T) {
-	m := testManager(t)
-	// Fleet has 192 cores; ask for more in one request.
-	if _, err := m.Allocate(8, 25, Pack); err == nil {
-		t.Fatal("over-allocation accepted")
-	}
-	if m.TotalFreeCores() != 192 {
-		t.Fatalf("failed allocation leaked cores: %d", m.TotalFreeCores())
-	}
-}
-
-func TestAllocateInvalidArgs(t *testing.T) {
-	m := testManager(t)
-	if _, err := m.Allocate(0, 1, Pack); err == nil {
-		t.Fatal("zero cores accepted")
-	}
-	if _, err := m.Allocate(1, 0, Pack); err == nil {
-		t.Fatal("zero count accepted")
-	}
-}
-
-func TestRelease(t *testing.T) {
-	m := testManager(t)
-	got, _ := m.Allocate(8, 24, Pack) // whole fleet
-	if m.TotalFreeCores() != 0 {
-		t.Fatalf("free = %d", m.TotalFreeCores())
-	}
-	m.Release(8, got)
-	if m.TotalFreeCores() != 192 {
-		t.Fatalf("after release free = %d", m.TotalFreeCores())
-	}
-	// Releasing again must not exceed machine capacity.
-	m.Release(8, got)
-	if m.TotalFreeCores() != 192 {
-		t.Fatalf("double release inflated cores: %d", m.TotalFreeCores())
-	}
-}
-
-func TestSuccessiveAllocationsRotate(t *testing.T) {
-	m := testManager(t)
-	a, _ := m.Allocate(1, 1, SpreadRacks)
-	b, _ := m.Allocate(1, 1, SpreadRacks)
-	if a[0] == b[0] {
-		t.Fatal("successive single-task allocations landed on the same machine")
 	}
 }
