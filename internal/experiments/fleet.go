@@ -37,9 +37,10 @@ import (
 // memory by ops/256 instead of ops.
 const fleetTraceRate = 256
 
-// defaultFleetHistoryCap is the reservoir size for sampled operation
-// histories when SketchConfig.HistoryCap is zero.
-const defaultFleetHistoryCap = 4096
+// fleetHistoryCap is the reservoir of retained operations per platform
+// history in sketch mode. Completeness-sensitive checkers refuse sampled
+// histories, so fleet runs report op mixes, not linearizability.
+const fleetHistoryCap = 4096
 
 // FleetRow is one platform's fleet-scale measurement. Every field is plain
 // data derived from bounded-memory recorders, so rows serialize
@@ -108,11 +109,7 @@ func fleetRecorders(cfg StudyConfig, env *platform.Env, seed uint64) (stats.Reco
 	if !cfg.Sketch.Enabled {
 		return &stats.Summary{}, check.NewHistory(env.K)
 	}
-	histCap := cfg.Sketch.HistoryCap
-	if histCap <= 0 {
-		histCap = defaultFleetHistoryCap
-	}
-	return stats.NewSketch(cfg.Sketch.RelErr), check.NewSampledHistory(env.K, histCap, seed)
+	return stats.NewSketch(cfg.Sketch.RelErr), check.NewSampledHistory(env.K, fleetHistoryCap, seed)
 }
 
 // run sizes the platform to its server share and drives it open-loop with
@@ -266,13 +263,20 @@ func DefaultFleetStudyConfig() StudyConfig {
 // rows. Execution knobs — Parallel, Backend, Exec — and measured heap stats
 // are excluded by construction: equal seeds and sizing must yield equal
 // bytes no matter how or where the study ran.
+//
+// The sketch block keeps a zero "HistoryCap" key from the removed
+// reservoir-cap knob, so artifacts stay byte-identical across that removal.
 func MarshalFleet(st *FleetStudy) ([]byte, error) {
+	type sketchBlock struct {
+		SketchConfig
+		HistoryCap int
+	}
 	return json.MarshalIndent(struct {
 		Seed   uint64
-		Sketch SketchConfig
+		Sketch sketchBlock
 		Fleet  FleetConfig
 		Rows   []FleetRow
-	}{st.Cfg.Seed, st.Cfg.Sketch, st.Cfg.Fleet, st.Rows}, "", "  ")
+	}{st.Cfg.Seed, sketchBlock{SketchConfig: st.Cfg.Sketch}, st.Cfg.Fleet, st.Rows}, "", "  ")
 }
 
 // RenderFleet renders the human-readable fleet report.

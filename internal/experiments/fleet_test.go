@@ -58,8 +58,8 @@ func TestFleetScaleDefaultCompletesBounded(t *testing.T) {
 		if r.SketchBuckets <= 0 || r.SketchBuckets > 4096 {
 			t.Errorf("%s sketch holds %d buckets, want (0, 4096]", r.Platform, r.SketchBuckets)
 		}
-		if r.HistoryKept > defaultFleetHistoryCap {
-			t.Errorf("%s history kept %d ops, cap is %d", r.Platform, r.HistoryKept, defaultFleetHistoryCap)
+		if r.HistoryKept > fleetHistoryCap {
+			t.Errorf("%s history kept %d ops, cap is %d", r.Platform, r.HistoryKept, fleetHistoryCap)
 		}
 		if r.HistorySeen < int64(r.HistoryKept) {
 			t.Errorf("%s history seen %d < kept %d", r.Platform, r.HistorySeen, r.HistoryKept)

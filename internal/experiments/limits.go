@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"hyperprof/internal/model"
 	"hyperprof/internal/taxonomy"
@@ -364,14 +363,4 @@ func addComponent(sys model.System, ch *Characterization, p taxonomy.Platform, c
 		Sync:        1,
 	})
 	return out
-}
-
-// MaxSpeedup returns the largest WithoutDep value of a Figure 9 sweep, the
-// "ideal upper bound" the paper quotes per platform.
-func MaxSpeedup(points []Fig9Point) float64 {
-	best := 0.0
-	for _, pt := range points {
-		best = math.Max(best, pt.WithoutDep)
-	}
-	return best
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"hyperprof/internal/model"
@@ -197,22 +196,6 @@ func RenderTable8(t8 *soc.Table8) string {
 	fmt.Fprintf(&b, "    Modeled chained execution  t'_e2e  %v\n", t8.ModeledChained)
 	fmt.Fprintf(&b, "  Difference: %.1f%% (paper reports 6.1%%)\n", t8.DiffFrac*100)
 	return b.String()
-}
-
-// SortedCategories returns a breakdown's categories sorted by descending
-// fraction (for reports).
-func SortedCategories(m map[taxonomy.Category]float64) []taxonomy.Category {
-	cats := make([]taxonomy.Category, 0, len(m))
-	for c := range m {
-		cats = append(cats, c)
-	}
-	sort.Slice(cats, func(i, j int) bool {
-		if m[cats[i]] != m[cats[j]] {
-			return m[cats[i]] > m[cats[j]]
-		}
-		return cats[i] < cats[j]
-	})
-	return cats
 }
 
 // RenderTables23 renders the taxonomy definitions of Tables 2 and 3.

@@ -159,22 +159,11 @@ type ObsConfig struct {
 	Enabled bool
 	// Interval is the virtual-time sampling period (0 = obs.DefaultConfig).
 	Interval time.Duration
-	// Window is the histogram window capacity (0 = obs.DefaultConfig).
-	Window int
-	// Sketch switches histograms to bounded-memory quantile sketches with
-	// relative error SketchRelErr (0 = stats.DefaultSketchRelErr).
-	Sketch       bool
-	SketchRelErr float64
 }
 
 // registry builds the obs registry config for this study.
 func (o ObsConfig) registry() obs.Config {
-	return obs.Config{
-		Interval:     o.Interval,
-		Window:       o.Window,
-		Sketch:       o.Sketch,
-		SketchRelErr: o.SketchRelErr,
-	}
+	return obs.Config{Interval: o.Interval}
 }
 
 // SketchConfig switches a study's measurement plane from exact recording to
@@ -187,10 +176,6 @@ type SketchConfig struct {
 	// RelErr is the sketch's relative-error bound on every reported
 	// quantile (0 = stats.DefaultSketchRelErr, 1%).
 	RelErr float64
-	// HistoryCap bounds the reservoir of retained operations per platform
-	// history (0 = 4096). Completeness-sensitive checkers refuse sampled
-	// histories, so fleet runs report op mixes, not linearizability.
-	HistoryCap int
 }
 
 // FleetConfig sizes the fleet-scale characterization: how many simulated
@@ -351,7 +336,7 @@ func DefaultObsStudyConfig() StudyConfig {
 		Clients:   8,
 		TraceRate: 1,
 		Ops:       PlatformOps{Spanner: 600, BigTable: 600, BigQuery: 90},
-		Obs:       ObsConfig{Enabled: true, Interval: time.Millisecond, Window: 1024},
+		Obs:       ObsConfig{Enabled: true, Interval: time.Millisecond},
 	}
 }
 

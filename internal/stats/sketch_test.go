@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"sort"
@@ -136,117 +135,37 @@ func TestSketchBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestSketchMergeOrderInvariance is the merge-associativity test the study
-// pipeline depends on: partition one stream into shards, merge the shard
-// sketches in different orders and tree shapes, and require the canonical
-// dumps — and therefore any exported bytes derived from them — to be
-// identical, and identical to the unsharded sketch.
-func TestSketchMergeOrderInvariance(t *testing.T) {
+// TestSketchOrderInvariance is the property the fleet study's byte identity
+// depends on: the same observations recorded in different orders must yield
+// bit-identical quantiles, extremes, sums and bucket counts.
+func TestSketchOrderInvariance(t *testing.T) {
 	vals := sketchWorkloads(42, 30000)["lognormal"]
-	const shards = 7
-
-	build := func() []*Sketch {
-		parts := make([]*Sketch, shards)
-		for i := range parts {
-			parts[i] = NewSketch(0.01)
+	record := func(order []float64) *Sketch {
+		s := NewSketch(0.01)
+		for _, v := range order {
+			s.Add(v)
 		}
-		for i, v := range vals {
-			parts[i%shards].Add(v)
+		return s
+	}
+	reversed := make([]float64, len(vals))
+	for i, v := range vals {
+		reversed[len(vals)-1-i] = v
+	}
+	shuffled := append([]float64(nil), vals...)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	want := record(vals)
+	for name, order := range map[string][]float64{"reversed": reversed, "shuffled": shuffled} {
+		got := record(order)
+		if got.N() != want.N() || got.Buckets() != want.Buckets() || got.Sum() != want.Sum() ||
+			got.Min() != want.Min() || got.Max() != want.Max() {
+			t.Fatalf("%s: n/buckets/sum/min/max differ: %v vs %v", name, got, want)
 		}
-		return parts
-	}
-	dump := func(s *Sketch) string {
-		b, err := json.Marshal(s.Dump())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-
-	// Reference: everything in one sketch, no merging.
-	whole := NewSketch(0.01)
-	for _, v := range vals {
-		whole.Add(v)
-	}
-	want := dump(whole)
-
-	// Left fold in shard order.
-	parts := build()
-	leftFold := NewSketch(0.01)
-	for _, p := range parts {
-		leftFold.Merge(p)
-	}
-	if got := dump(leftFold); got != want {
-		t.Fatalf("left-fold merge dump differs from unsharded sketch:\n got %s\nwant %s", got, want)
-	}
-
-	// Reverse order.
-	parts = build()
-	rev := NewSketch(0.01)
-	for i := len(parts) - 1; i >= 0; i-- {
-		rev.Merge(parts[i])
-	}
-	if got := dump(rev); got != want {
-		t.Fatalf("reverse-order merge dump differs:\n got %s\nwant %s", got, want)
-	}
-
-	// Balanced binary tree of pairwise merges.
-	parts = build()
-	for len(parts) > 1 {
-		var next []*Sketch
-		for i := 0; i < len(parts); i += 2 {
-			if i+1 < len(parts) {
-				parts[i].Merge(parts[i+1])
+		for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1} {
+			if got.Quantile(q) != want.Quantile(q) {
+				t.Fatalf("%s: Quantile(%v) = %v, want %v", name, q, got.Quantile(q), want.Quantile(q))
 			}
-			next = append(next, parts[i])
 		}
-		parts = next
-	}
-	if got := dump(parts[0]); got != want {
-		t.Fatalf("tree-merge dump differs:\n got %s\nwant %s", got, want)
-	}
-
-	// Exported scalars must match bit-for-bit too, not just the dump.
-	if whole.Sum() != leftFold.Sum() || whole.Sum() != rev.Sum() {
-		t.Fatalf("Sum differs across merge orders: %v %v %v", whole.Sum(), leftFold.Sum(), rev.Sum())
-	}
-	if whole.Quantile(0.99) != rev.Quantile(0.99) {
-		t.Fatalf("Quantile differs across merge orders")
-	}
-}
-
-// TestSketchMergeGuards covers the defensive paths: empty and nil merges are
-// no-ops, mismatched error bounds panic.
-func TestSketchMergeGuards(t *testing.T) {
-	s := NewSketch(0.01)
-	s.Add(5)
-	s.Merge(nil)
-	s.Merge(NewSketch(0.01))
-	if s.N() != 1 {
-		t.Fatalf("N=%d after no-op merges, want 1", s.N())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging sketches with different error bounds did not panic")
-		}
-	}()
-	o := NewSketch(0.05)
-	o.Add(1)
-	s.Merge(o)
-}
-
-// TestSketchReset checks Reset empties the sketch and reuses capacity.
-func TestSketchReset(t *testing.T) {
-	s := NewSketch(0.01)
-	for i := 1; i <= 1000; i++ {
-		s.Add(float64(i))
-	}
-	s.Reset()
-	if s.N() != 0 || s.Buckets() != 0 || s.Quantile(0.5) != 0 || s.Sum() != 0 {
-		t.Fatalf("sketch not empty after Reset: n=%d buckets=%d", s.N(), s.Buckets())
-	}
-	s.Add(3)
-	if got := s.Quantile(1); math.Abs(got-3) > 0.01*3 {
-		t.Fatalf("Quantile(1)=%g after reuse, want ~3", got)
 	}
 }
