@@ -19,9 +19,6 @@ import (
 // breaches via check.Violate. Pass nil to detach.
 func (e *Engine) SetRecorder(h *check.History) { e.rec = h }
 
-// Recorder returns the attached recorder, if any.
-func (e *Engine) Recorder() *check.History { return e.rec }
-
 // RegisterInvariants registers the deployment's standing invariants with a
 // checker registry.
 func (e *Engine) RegisterInvariants(reg *check.Registry) {

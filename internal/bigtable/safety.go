@@ -18,9 +18,6 @@ import (
 // SetRecorder attaches an operation-history recorder. Pass nil to detach.
 func (db *DB) SetRecorder(h *check.History) { db.rec = h }
 
-// Recorder returns the attached recorder, if any.
-func (db *DB) Recorder() *check.History { return db.rec }
-
 // bootstrapDigest is the digest of row `row`'s bootstrap content in tablet
 // t, the initial value the recorder checks reads against.
 func (db *DB) bootstrapDigest(t, row int) uint64 {

@@ -1,13 +1,12 @@
 // Package columnar implements the vectorized relational kernels a
 // BigQuery-class engine executes per batch: selection bitmaps over typed
 // columns, hash aggregation, hash join, and ordering. These are the "core
-// compute" operators of Table 5 (filter, aggregate, join, sort, compute) as
-// real code; internal/bigquery executes its queries through them.
+// compute" operators of Table 5 (filter, aggregate, join, sort) as real
+// code; internal/bigquery executes its queries through them.
 package columnar
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 )
 
@@ -31,44 +30,12 @@ func (b *Bitmap) Set(i int) { b.words[i/64] |= 1 << (i % 64) }
 // Get reports whether row i is selected.
 func (b *Bitmap) Get(i int) bool { return b.words[i/64]&(1<<(i%64)) != 0 }
 
-// Count returns the number of selected rows.
-func (b *Bitmap) Count() int {
-	total := 0
-	for _, w := range b.words {
-		total += bits.OnesCount64(w)
-	}
-	return total
-}
-
-// And intersects two bitmaps of equal length into a new one.
-func (b *Bitmap) And(o *Bitmap) (*Bitmap, error) {
-	if b.n != o.n {
-		return nil, fmt.Errorf("columnar: bitmap lengths %d != %d", b.n, o.n)
-	}
-	out := NewBitmap(b.n)
-	for i := range b.words {
-		out.words[i] = b.words[i] & o.words[i]
-	}
-	return out, nil
-}
-
 // FilterGE selects rows where col[i] >= threshold (the engine's scan
 // predicate).
 func FilterGE(col []int64, threshold int64) *Bitmap {
 	b := NewBitmap(len(col))
 	for i, v := range col {
 		if v >= threshold {
-			b.Set(i)
-		}
-	}
-	return b
-}
-
-// FilterLT selects rows where col[i] < threshold.
-func FilterLT(col []int64, threshold int64) *Bitmap {
-	b := NewBitmap(len(col))
-	for i, v := range col {
-		if v < threshold {
 			b.Set(i)
 		}
 	}
@@ -87,20 +54,6 @@ func HashAggregate(keys, vals []int64, sel *Bitmap) (map[int64]int64, error) {
 	for i := range keys {
 		if sel == nil || sel.Get(i) {
 			out[keys[i]] += vals[i]
-		}
-	}
-	return out, nil
-}
-
-// CountAggregate counts selected rows per key.
-func CountAggregate(keys []int64, sel *Bitmap) (map[int64]int64, error) {
-	if sel != nil && sel.Len() != len(keys) {
-		return nil, fmt.Errorf("columnar: selection length %d != %d", sel.Len(), len(keys))
-	}
-	out := map[int64]int64{}
-	for i, k := range keys {
-		if sel == nil || sel.Get(i) {
-			out[k]++
 		}
 	}
 	return out, nil
@@ -126,18 +79,6 @@ func HashJoin(groups map[int64]int64, dim map[int64]string) map[string]int64 {
 	return out
 }
 
-// Compute applies a column-wise arithmetic transform (val*scale + offset)
-// over the selected rows, returning a new column aligned with the input.
-func Compute(vals []int64, sel *Bitmap, scale, offset int64) []int64 {
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		if sel == nil || sel.Get(i) {
-			out[i] = v*scale + offset
-		}
-	}
-	return out
-}
-
 // SortKeysByValueDesc orders group keys by descending aggregate, breaking
 // ties by ascending key so results are deterministic.
 func SortKeysByValueDesc(m map[int64]int64) []int64 {
@@ -151,14 +92,5 @@ func SortKeysByValueDesc(m map[int64]int64) []int64 {
 		}
 		return keys[i] < keys[j]
 	})
-	return keys
-}
-
-// TopN returns the first n keys of the descending-sum ordering.
-func TopN(m map[int64]int64, n int) []int64 {
-	keys := SortKeysByValueDesc(m)
-	if n < len(keys) {
-		keys = keys[:n]
-	}
 	return keys
 }

@@ -158,7 +158,6 @@ func (a Applied) Label() string {
 type Engine struct {
 	k          *sim.Kernel
 	targets    map[string]Actions
-	names      []string
 	netDegrade func(extra time.Duration, drop float64)
 	netRestore func()
 	links      *LinkPlane
@@ -181,12 +180,7 @@ func NewEngine(k *sim.Kernel) *Engine {
 }
 
 // Register adds a named target. Re-registering a name replaces its actions.
-func (e *Engine) Register(name string, a Actions) {
-	if _, ok := e.targets[name]; !ok {
-		e.names = append(e.names, name)
-	}
-	e.targets[name] = a
-}
+func (e *Engine) Register(name string, a Actions) { e.targets[name] = a }
 
 // RegisterNetwork wires the network-wide degradation hooks.
 func (e *Engine) RegisterNetwork(degrade func(extra time.Duration, drop float64), restore func()) {
@@ -197,13 +191,6 @@ func (e *Engine) RegisterNetwork(degrade func(extra time.Duration, drop float64)
 // RegisterLinkPlane wires the directed-link fault hooks Partition, GrayLink
 // and link-scoped Heal events apply through.
 func (e *Engine) RegisterLinkPlane(p LinkPlane) { e.links = &p }
-
-// Targets returns the registered target names, sorted.
-func (e *Engine) Targets() []string {
-	out := append([]string(nil), e.names...)
-	sort.Strings(out)
-	return out
-}
 
 // Inject schedules one event on the kernel. Events in the past (At before
 // the current virtual time) fire immediately.

@@ -152,13 +152,6 @@ func (n *Network) HealLink(from, to string) bool {
 	return true
 }
 
-// HealAllLinks clears every injected per-link fault on the network.
-func (n *Network) HealAllLinks() {
-	for _, lf := range n.links {
-		lf.extra, lf.drop, lf.blocked = 0, 0, false
-	}
-}
-
 // LinkBlocked reports whether the directed link from -> to is currently
 // fully blocked.
 func (n *Network) LinkBlocked(from, to string) bool {
@@ -179,9 +172,6 @@ func (n *Network) Reachable(a, b *Node) bool {
 	}
 	return !n.LinkBlocked(a.Name, b.Name) && !n.LinkBlocked(b.Name, a.Name)
 }
-
-// NodeByName returns the registered node with the given name, or nil.
-func (n *Network) NodeByName(name string) *Node { return n.nodesByName[name] }
 
 // linkBlocked is the message-path form of LinkBlocked: local messages never
 // cross the fault plane.

@@ -29,10 +29,6 @@ import (
 // are mutually exclusive.
 var ErrExpired = errors.New("netsim: request expired in queue")
 
-// ErrThrottled is returned when a per-tenant QoS governor rejects an
-// operation because the tenant is at its weighted admission share.
-var ErrThrottled = errors.New("netsim: tenant throttled")
-
 // ErrCircuitOpen is returned (without touching the network) for attempts
 // against a target whose circuit breaker is open. It is retryable so replica
 // rotation moves on to the next target.
@@ -176,7 +172,7 @@ type Tenant struct {
 // TenantGovernor enforces weighted per-tenant admission over a shared
 // concurrency capacity: each tenant gets a reserved share proportional to
 // its weight, and an arrival finding its tenant at the share is throttled
-// with ErrThrottled. Because shares are reservations (not borrowable), a
+// (Admit reports false). Because shares are reservations (not borrowable), a
 // flash-crowd tenant saturating its own share leaves every other tenant's
 // capacity untouched — the starvation-isolation property the overload study
 // asserts with its fairness index.
@@ -220,12 +216,6 @@ func (g *TenantGovernor) AddTenant(name string, weight float64) *Tenant {
 	}
 	return t
 }
-
-// Tenants returns the registered tenants in registration order.
-func (g *TenantGovernor) Tenants() []*Tenant { return g.tenants }
-
-// Capacity returns the governor's total concurrency capacity.
-func (g *TenantGovernor) Capacity() int { return g.capacity }
 
 // Admit decides whether one operation of tenant t may start. Admitted
 // operations must be completed with Done.
@@ -276,15 +266,9 @@ func (g *TenantGovernor) EnableMetrics(r *obs.Registry) {
 	}
 }
 
-// JainFairness returns Jain's fairness index over the tenants'
+// JainFairness computes Jain's fairness index over the tenants'
 // weight-normalized success counts: 1.0 means every tenant got goodput
 // exactly proportional to its weight, 1/n means one tenant got everything.
-func (g *TenantGovernor) JainFairness() float64 {
-	return JainFairness(g.tenants)
-}
-
-// JainFairness computes Jain's index over weight-normalized successes for an
-// arbitrary tenant slice.
 func JainFairness(tenants []*Tenant) float64 {
 	var sum, sumSq float64
 	n := 0

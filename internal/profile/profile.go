@@ -57,9 +57,12 @@ type Stats struct {
 	Micro
 }
 
-func (a *agg) stats(hz float64) Stats {
+// clockHz is the modeled core frequency that converts CPU time to cycles.
+const clockHz = 2e9
+
+func (a *agg) stats() Stats {
 	s := Stats{CPU: a.cpu}
-	cycles := a.cpu.Seconds() * hz
+	cycles := a.cpu.Seconds() * clockHz
 	if cycles > 0 {
 		s.IPC = a.instr / cycles
 	}
@@ -84,7 +87,6 @@ type key struct {
 type Profiler struct {
 	classifier *taxonomy.Classifier
 	rng        *stats.RNG
-	hz         float64
 	period     time.Duration // sampling period; 0 = exact accounting
 	jitter     float64       // relative noise applied per sample to counters
 
@@ -109,12 +111,6 @@ func WithJitter(frac float64) Option {
 	return func(p *Profiler) { p.jitter = frac }
 }
 
-// WithClockHz sets the modeled core frequency used to convert CPU time to
-// cycles. The default is 2 GHz.
-func WithClockHz(hz float64) Option {
-	return func(p *Profiler) { p.hz = hz }
-}
-
 // New creates a profiler using the given classifier (nil for the fleet
 // default) and seed.
 func New(classifier *taxonomy.Classifier, seed uint64, opts ...Option) *Profiler {
@@ -124,7 +120,6 @@ func New(classifier *taxonomy.Classifier, seed uint64, opts ...Option) *Profiler
 	p := &Profiler{
 		classifier: classifier,
 		rng:        stats.NewRNG(seed),
-		hz:         2e9,
 		byCategory: map[key]*agg{},
 		byFunction: map[taxonomy.Platform]map[string]*agg{},
 	}
@@ -166,7 +161,7 @@ func (p *Profiler) Record(w Work) {
 		m.DTLBLD = p.rng.Jitter(m.DTLBLD, p.jitter)
 	}
 	cat := p.classifier.Classify(w.Function)
-	cycles := weight.Seconds() * p.hz
+	cycles := weight.Seconds() * clockHz
 
 	k := key{w.Platform, cat}
 	a := p.byCategory[k]
@@ -273,7 +268,7 @@ func (p *Profiler) PlatformStats(platform taxonomy.Platform) Stats {
 			total.misses[i] += a.misses[i]
 		}
 	}
-	return total.stats(p.hz)
+	return total.stats()
 }
 
 // BroadStats returns per-broad-class microarchitecture statistics (one
@@ -296,7 +291,7 @@ func (p *Profiler) BroadStats(platform taxonomy.Platform) map[taxonomy.Broad]Sta
 	}
 	out := map[taxonomy.Broad]Stats{}
 	for b, a := range accs {
-		out[b] = a.stats(p.hz)
+		out[b] = a.stats()
 	}
 	return out
 }

@@ -8,7 +8,6 @@ package protowire
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Type is a protobuf wire type.
@@ -151,12 +150,6 @@ func ConsumeBytes(b []byte) ([]byte, int, error) {
 	}
 	return b[n : n+int(l)], n + int(l), nil
 }
-
-// AppendDouble appends a float64 as fixed64.
-func AppendDouble(b []byte, v float64) []byte { return AppendFixed64(b, math.Float64bits(v)) }
-
-// AppendFloat appends a float32 as fixed32.
-func AppendFloat(b []byte, v float32) []byte { return AppendFixed32(b, math.Float32bits(v)) }
 
 // SkipValue skips over one value of the given wire type, returning the bytes
 // consumed.

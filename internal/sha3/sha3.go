@@ -1,6 +1,5 @@
-// Package sha3 implements the FIPS-202 SHA-3 hash family and the SHAKE
-// extendable-output functions from first principles on top of the
-// Keccak-f[1600] permutation. It is the hashing workload chained after
+// Package sha3 implements the FIPS-202 SHA3-256 hash from first principles
+// on top of the Keccak-f[1600] permutation. It is the hashing workload chained after
 // protobuf serialization in the paper's Table 8 validation (the open-source
 // SHA3 RTL accelerator of Schmidt & Izraelevitz), reimplemented here in
 // software so the SoC model can execute it functionally.
@@ -65,34 +64,31 @@ func keccakF1600(a *[25]uint64) {
 	}
 }
 
-// state is a Keccak sponge.
-type state struct {
-	a       [25]uint64
-	buf     []byte // absorbed input not yet permuted; len < rate
-	rate    int    // bytes absorbed/squeezed per permutation
-	outLen  int    // digest size for the fixed-output functions
-	dsbyte  byte   // domain separation + first padding bit
-	squeeze []byte // pending squeeze output
-}
+// SHA3-256 sponge parameters: the rate is the bytes absorbed per
+// permutation, dsSHA3 the domain-separation byte with the first padding bit.
+const (
+	rate   = 136
+	size   = 32
+	dsSHA3 = 0x06
+)
 
-func newState(rate, outLen int, dsbyte byte) *state {
-	return &state{rate: rate, outLen: outLen, dsbyte: dsbyte}
+// state is a SHA3-256 Keccak sponge.
+type state struct {
+	a   [25]uint64
+	buf []byte // absorbed input not yet permuted; len < rate
 }
 
 // Write absorbs input into the sponge. It never returns an error.
 func (s *state) Write(p []byte) (int, error) {
-	if s.squeeze != nil {
-		panic("sha3: Write after Sum/Read")
-	}
 	n := len(p)
 	for len(p) > 0 {
-		space := s.rate - len(s.buf)
+		space := rate - len(s.buf)
 		if space > len(p) {
 			space = len(p)
 		}
 		s.buf = append(s.buf, p[:space]...)
 		p = p[space:]
-		if len(s.buf) == s.rate {
+		if len(s.buf) == rate {
 			s.absorb()
 		}
 	}
@@ -100,121 +96,49 @@ func (s *state) Write(p []byte) (int, error) {
 }
 
 func (s *state) absorb() {
-	for i := 0; i < s.rate/8; i++ {
+	for i := 0; i < rate/8; i++ {
 		s.a[i] ^= binary.LittleEndian.Uint64(s.buf[i*8:])
 	}
 	keccakF1600(&s.a)
 	s.buf = s.buf[:0]
 }
 
-// pad applies the pad10*1 rule with the domain-separation byte and permutes.
-func (s *state) pad() {
-	block := make([]byte, s.rate)
-	copy(block, s.buf)
-	block[len(s.buf)] = s.dsbyte
-	block[s.rate-1] |= 0x80
-	s.buf = block
-	s.absorb()
-}
-
-// squeezeBlock appends one rate-sized block of output.
-func (s *state) squeezeBlock() {
-	block := make([]byte, s.rate)
-	for i := 0; i < s.rate/8; i++ {
-		binary.LittleEndian.PutUint64(block[i*8:], s.a[i])
-	}
-	s.squeeze = append(s.squeeze, block...)
-}
-
-// Read squeezes len(p) bytes of output, finalizing the sponge on first call.
-func (s *state) Read(p []byte) (int, error) {
-	if s.squeeze == nil {
-		s.pad()
-		s.squeeze = []byte{}
-		s.squeezeBlock()
-	}
-	n := len(p)
-	for len(p) > 0 {
-		if len(s.squeeze) == 0 {
-			keccakF1600(&s.a)
-			s.squeezeBlock()
-		}
-		c := copy(p, s.squeeze)
-		s.squeeze = s.squeeze[c:]
-		p = p[c:]
-	}
-	return n, nil
-}
-
-// Sum appends the digest to b without disturbing further writes on a copy.
+// Sum appends the digest to b without disturbing further writes: it pads
+// a copy of the sponge with the pad10*1 rule and squeezes one block.
 func (s *state) Sum(b []byte) []byte {
 	dup := *s
-	dup.buf = append([]byte(nil), s.buf...)
-	dup.squeeze = nil
-	out := make([]byte, s.outLen)
-	if _, err := dup.Read(out); err != nil {
-		panic(err)
+	block := make([]byte, rate)
+	copy(block, s.buf)
+	block[len(s.buf)] = dsSHA3
+	block[rate-1] |= 0x80
+	dup.buf = block
+	dup.absorb()
+	for i := 0; i < size/8; i++ {
+		b = binary.LittleEndian.AppendUint64(b, dup.a[i])
 	}
-	return append(b, out...)
+	return b
 }
 
 // Reset returns the sponge to its initial state.
 func (s *state) Reset() {
 	s.a = [25]uint64{}
 	s.buf = s.buf[:0]
-	s.squeeze = nil
 }
 
 // Size returns the digest length in bytes.
-func (s *state) Size() int { return s.outLen }
+func (s *state) Size() int { return size }
 
 // BlockSize returns the sponge rate in bytes.
-func (s *state) BlockSize() int { return s.rate }
-
-const (
-	dsSHA3  = 0x06
-	dsShake = 0x1f
-)
-
-// New224 returns a SHA3-224 hash.
-func New224() hash.Hash { return newState(144, 28, dsSHA3) }
+func (s *state) BlockSize() int { return rate }
 
 // New256 returns a SHA3-256 hash.
-func New256() hash.Hash { return newState(136, 32, dsSHA3) }
-
-// New384 returns a SHA3-384 hash.
-func New384() hash.Hash { return newState(104, 48, dsSHA3) }
-
-// New512 returns a SHA3-512 hash.
-func New512() hash.Hash { return newState(72, 64, dsSHA3) }
-
-// Sum224 returns the SHA3-224 digest of data.
-func Sum224(data []byte) [28]byte { var d [28]byte; sum(New224(), data, d[:]); return d }
+func New256() hash.Hash { return &state{} }
 
 // Sum256 returns the SHA3-256 digest of data.
-func Sum256(data []byte) [32]byte { var d [32]byte; sum(New256(), data, d[:]); return d }
-
-// Sum384 returns the SHA3-384 digest of data.
-func Sum384(data []byte) [48]byte { var d [48]byte; sum(New384(), data, d[:]); return d }
-
-// Sum512 returns the SHA3-512 digest of data.
-func Sum512(data []byte) [64]byte { var d [64]byte; sum(New512(), data, d[:]); return d }
-
-func sum(h hash.Hash, data, out []byte) {
+func Sum256(data []byte) [32]byte {
+	h := New256()
 	h.Write(data)
-	copy(out, h.Sum(nil))
+	var d [32]byte
+	copy(d[:], h.Sum(nil))
+	return d
 }
-
-// ShakeHash is a SHAKE extendable-output function: absorb with Write, then
-// squeeze arbitrarily many bytes with Read.
-type ShakeHash interface {
-	Write(p []byte) (int, error)
-	Read(p []byte) (int, error)
-	Reset()
-}
-
-// NewShake128 returns a SHAKE128 XOF.
-func NewShake128() ShakeHash { return newState(168, 0, dsShake) }
-
-// NewShake256 returns a SHAKE256 XOF.
-func NewShake256() ShakeHash { return newState(136, 0, dsShake) }

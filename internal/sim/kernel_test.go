@@ -132,7 +132,7 @@ func TestRunUntil(t *testing.T) {
 
 func TestResourceFIFOAdmission(t *testing.T) {
 	k := New()
-	r := NewResource(k, "cpu", 2)
+	r := NewResource(k, 2)
 	var order []string
 	hold := func(name string, units int, d time.Duration) {
 		k.Go(name, func(p *Proc) {
@@ -163,7 +163,7 @@ func TestResourceFIFOAdmission(t *testing.T) {
 
 func TestResourceConcurrentHolders(t *testing.T) {
 	k := New()
-	r := NewResource(k, "cpu", 3)
+	r := NewResource(k, 3)
 	var maxInUse int
 	for i := 0; i < 9; i++ {
 		k.Go("w", func(p *Proc) {
@@ -187,7 +187,7 @@ func TestResourceConcurrentHolders(t *testing.T) {
 
 func TestResourceBusyTime(t *testing.T) {
 	k := New()
-	r := NewResource(k, "cpu", 4)
+	r := NewResource(k, 4)
 	k.Go("w", func(p *Proc) { p.Use(r, 2, 3*time.Millisecond) })
 	k.Run()
 	if got := r.BusyTime(); got != 6*time.Millisecond {
@@ -197,8 +197,8 @@ func TestResourceBusyTime(t *testing.T) {
 
 func TestResourcePanics(t *testing.T) {
 	k := New()
-	mustPanic(t, "capacity", func() { NewResource(k, "x", 0) })
-	r := NewResource(k, "x", 1)
+	mustPanic(t, "capacity", func() { NewResource(k, 0) })
+	r := NewResource(k, 1)
 	mustPanic(t, "release", func() { r.Release(1) })
 	k.Go("p", func(p *Proc) {
 		mustPanic(t, "acquire too many", func() { p.Acquire(r, 2) })

@@ -12,7 +12,6 @@ import "time"
 // non-starving hardware arbitration.
 type Resource struct {
 	k       *Kernel
-	name    string
 	cap     int
 	inUse   int
 	waiters []resWaiter
@@ -28,18 +27,12 @@ type resWaiter struct {
 }
 
 // NewResource creates a resource with the given capacity (must be > 0).
-func NewResource(k *Kernel, name string, capacity int) *Resource {
+func NewResource(k *Kernel, capacity int) *Resource {
 	if capacity <= 0 {
 		panic("sim: resource capacity must be positive")
 	}
-	return &Resource{k: k, name: name, cap: capacity}
+	return &Resource{k: k, cap: capacity}
 }
-
-// Name returns the resource name.
-func (r *Resource) Name() string { return r.name }
-
-// Capacity returns the total capacity.
-func (r *Resource) Capacity() int { return r.cap }
 
 // InUse returns the units currently held.
 func (r *Resource) InUse() int { return r.inUse }

@@ -117,7 +117,7 @@ func ValidateChain3(seed uint64, n int, cfg Chain3Config) (*Chain3Result, error)
 
 	// Chained run: init completes, then the three accelerators pipeline.
 	k2 := sim.New()
-	s2 := &SoC{k: k2, cfg: cfg.SoC, cores: sim.NewResource(k2, "soc/cores", 4)}
+	s2 := &SoC{k: k2, cfg: cfg.SoC, cores: sim.NewResource(k2, 4)}
 	protoQ := sim.NewQueue[*Item](k2)
 	compQ := sim.NewQueue[*Item](k2)
 	sha3Q := sim.NewQueue[*Item](k2)

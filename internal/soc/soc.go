@@ -70,7 +70,7 @@ type SoC struct {
 // New creates a SoC with three cores on the given kernel (one per chain
 // stage, as in the paper's validation platform).
 func New(k *sim.Kernel, cfg Config) *SoC {
-	return &SoC{k: k, cfg: cfg, cores: sim.NewResource(k, "soc/cores", 3)}
+	return &SoC{k: k, cfg: cfg, cores: sim.NewResource(k, 3)}
 }
 
 // Item is one workload element: a message and its serialized form.
