@@ -82,8 +82,14 @@ func readFrame(r io.Reader, v any) error {
 	if n == 0 || n > MaxFrame {
 		return fmt.Errorf("dispatch: malformed frame length %d", n)
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
+	// Read through a limit rather than allocating n bytes up front: a garbage
+	// header that passes the MaxFrame check then costs only the bytes that
+	// actually follow it.
+	data, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(data) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return fmt.Errorf("dispatch: truncated frame: %w", err)
 	}
 	if err := json.Unmarshal(data, v); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,26 @@ func TestFrameRejectsTruncatedPayload(t *testing.T) {
 	err := readFrame(&buf, &out)
 	if err == nil || !strings.Contains(err.Error(), "truncated frame") {
 		t.Fatalf("want truncated-frame error, got %v", err)
+	}
+}
+
+// TestFrameTruncatedHugeLengthAllocatesLittle: a header claiming a frame just
+// under MaxFrame, followed by a few bytes and EOF (a worker dying mid-write),
+// must fail as truncated without allocating the claimed length.
+func TestFrameTruncatedHugeLengthAllocatesLittle(t *testing.T) {
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], MaxFrame)
+	in := append(hdr[:], `{"id":1`...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var out response
+	err := readFrame(bytes.NewReader(in), &out)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated frame") {
+		t.Fatalf("want truncated-frame error, got %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("reading a truncated frame allocated %d bytes", got)
 	}
 }
 
