@@ -24,7 +24,15 @@ FLEET_USERS ?= 200000
 FLEET_OPS ?= 8000
 FLEET_HEAP_MB ?= 128
 
-.PHONY: check build vet fmt test race check-safety check-obs check-overload check-backends check-partitions check-fleet check-pipeline check-perfbench bench bench-gate bench-baseline
+# fuzz runs every native fuzz target for this long each.
+FUZZTIME ?= 30s
+
+# FUZZ_TARGETS lists each fuzz target as package:FuzzName.
+FUZZ_TARGETS = ./internal/compress:FuzzDecode ./internal/compress:FuzzEncodedLen \
+	./internal/dispatch:FuzzReadFrame ./internal/protowire:FuzzUnmarshal \
+	./internal/trace:FuzzTraceUnmarshalJSON
+
+.PHONY: check build vet fmt test race check-safety check-obs check-overload check-backends check-partitions check-fleet check-pipeline check-perfbench fuzz bench bench-gate bench-baseline
 
 check: build vet fmt race
 
@@ -93,7 +101,7 @@ check-partitions:
 	$(GO) run ./cmd/hyperprof -study=partition -check -check-seeds $(PARTITION_SEEDS) -json > partition.json
 
 # check-fleet proves the bounded-memory fleet plane: the quantile-sketch
-# accuracy/merge property tests, the reservoir-sampling soundness tests, the
+# accuracy/order-invariance property tests, the reservoir-sampling soundness tests, the
 # sketch-mode byte-identity tests (sequential vs parallel and in-process vs
 # exec workers), the flat-heap unit test, and an end-to-end reduced
 # fleet characterization under a runtime.ReadMemStats heap ceiling.
@@ -128,6 +136,18 @@ check-perfbench:
 		out="$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 5 --trace 0)" || exit 1; \
 		echo "$$out"; \
 		echo "$$out" | tail -n 1 | grep -q '"correct":true' || { echo "perfbench: $$w is not correct"; exit 1; }; \
+	done
+
+# fuzz explores every decoder of bytes from outside the process — snappy
+# blocks, worker frames, protowire messages, exported traces — for FUZZTIME
+# each, with two fuzzing workers. Any crasher fails the target; commit it
+# under the package's testdata/fuzz/ as a regression seed (tier-1 replays
+# those corpora on every `go test`).
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg="$${t%%:*}"; name="$${t##*:}"; \
+		echo "fuzz $$pkg $$name ($(FUZZTIME))"; \
+		$(GO) test "$$pkg" -run '^$$' -fuzz "^$$name$$" -fuzztime $(FUZZTIME) -parallel 2 || exit 1; \
 	done
 
 # bench runs the DES-kernel substrate microbenchmarks into BENCH_1.json and
