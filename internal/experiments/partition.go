@@ -175,11 +175,6 @@ func (s *Partition) merge(p taxonomy.Platform, arm partitionArm) {
 	}
 }
 
-// Row returns the first row matching (platform, arm), or nil.
-func (s *Partition) Row(p taxonomy.Platform, arm string) *PartitionRow {
-	return findRow(s.Rows, func(row *PartitionRow) bool { return row.Platform == p && row.Arm == arm })
-}
-
 // run runs the arm's paced clients under the nemesis — partition windows,
 // one optional gray link and clock skew over the calibrated horizon, with a
 // lighter crash schedule riding along — and condenses the run into an arm:

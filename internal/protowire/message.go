@@ -139,9 +139,6 @@ func (m *Message) add(num int, v Value) *Message {
 // Get returns the values set for a field number.
 func (m *Message) Get(num int) []Value { return m.fields[num] }
 
-// Has reports whether the field has at least one value.
-func (m *Message) Has(num int) bool { return len(m.fields[num]) > 0 }
-
 // Len returns the number of populated fields.
 func (m *Message) Len() int { return len(m.fields) }
 

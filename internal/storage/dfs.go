@@ -119,9 +119,6 @@ func (d *DFS) DownServers() []int {
 // Servers returns the chunkserver stores (for inventory and stats).
 func (d *DFS) Servers() []*TieredStore { return d.servers }
 
-// ChunkSize returns the chunk granularity.
-func (d *DFS) ChunkSize() int64 { return d.chunkSize }
-
 // chunkKey names a chunk replica object.
 func chunkKey(file string, idx int64) string { return fmt.Sprintf("%s#%d", file, idx) }
 
