@@ -57,8 +57,7 @@ func platformOffset(p taxonomy.Platform) uint64 {
 // resilienceRPCPolicy is the client-side policy fault-injected arms run
 // with: a few quick retries so transient faults (crashed replica, dropped
 // message, shed request) are retried instead of surfacing as operation
-// errors. No deadline is set; hedging is exercised separately in the netsim
-// tests.
+// errors. No deadline is set.
 func resilienceRPCPolicy() netsim.Policy {
 	return netsim.Policy{
 		MaxAttempts: 3,
