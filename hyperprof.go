@@ -31,9 +31,9 @@ import (
 
 // Unified Study API. StudyConfig is the shared core every study runs from:
 // construct one with a Default*StudyConfig helper, adjust the grouped knobs
-// (Ops, Faults, Check, Obs, Load, Part, Pipe, Shape), and call the study's
-// method entry point — Characterize, Safety, Resilience, Observe, Overload,
-// Partition, FleetScale or Pipeline. It is the only way in: the legacy
+// (Ops, Faults, Check.Seeds, Obs, Load, Part.IncludeBroken, Pipe, Shape),
+// and call the study's method entry point — Characterize, Safety,
+// Resilience, Observe, Overload, Partition, FleetScale or Pipeline. It is the only way in: the legacy
 // per-study config types and Run* wrappers have been deleted.
 type (
 	// StudyConfig is the unified study configuration.
@@ -42,17 +42,19 @@ type (
 	PlatformOps = experiments.PlatformOps
 	// FaultConfig groups the fault-injection rates.
 	FaultConfig = experiments.FaultConfig
-	// CheckConfig sizes the safety checker sweep.
+	// CheckConfig sets how many faulted seeds the checked studies sweep.
 	CheckConfig = experiments.CheckConfig
 	// ObsConfig switches on the observability plane and sizes its sampling.
 	ObsConfig = experiments.ObsConfig
-	// PartitionConfig sizes the partition study's nemesis: partition and
-	// gray-link rates, clock skew bounds and the uncertainty bound eps.
+	// PartitionConfig selects the partition study's broken-knob arms; the
+	// nemesis and the uncertainty bound eps are fixed.
 	PartitionConfig = experiments.PartitionConfig
-	// LoadConfig sizes the overload study: open-loop offered load, the
-	// retry-storm trigger, and the protected arm's control-plane knobs.
+	// LoadConfig sizes the overload study: open-loop offered load and the
+	// retry-storm trigger window; the trigger's severity and the protected
+	// arm's control plane are fixed.
 	LoadConfig = experiments.LoadConfig
-	// ExecConfig sizes the exec backend's worker process pool.
+	// ExecConfig sizes the exec backend's worker process pool and bounds
+	// one unit's wall-clock time.
 	ExecConfig = experiments.ExecConfig
 	// PipelineConfig sizes the cross-platform pipeline study.
 	PipelineConfig = experiments.PipelineConfig

@@ -2,9 +2,9 @@ package experiments
 
 // This file is the arm plumbing the studies share: each platform's
 // environment, the fault schedule and network-degradation glue, and the
-// checked arm every safety and partition run is built from. Which targets
-// may crash is not decided here: each platform package declares its own
-// fault targets (RegisterFaultTargets, CrashTargets).
+// checked arm and unit every safety and partition run is built from. Which
+// targets may crash is not decided here: each platform package declares its
+// own fault targets (RegisterFaultTargets, CrashTargets).
 
 import (
 	"fmt"
@@ -102,6 +102,11 @@ func sorted(names []string) []string {
 	return names
 }
 
+// hotRows bounds the checked arms' contended row range so concurrent clients
+// collide on the same registers, giving the linearizability checker real
+// overlap.
+const hotRows = 8
+
 // checkedArm is one platform deployment under the safety checkers, with its
 // fault surface. Every safety and partition arm is one.
 type checkedArm struct {
@@ -130,8 +135,8 @@ type checkedArm struct {
 }
 
 // newCheckedArm builds platform p's deployment for one safety or partition
-// arm. arm selects the partition study's recovery and broken knobs; the
-// empty arm is the safety study's plain deployment.
+// arm. arm selects the partition study's recovery and broken knobs;
+// armSafety is the safety study's plain deployment.
 func newCheckedArm(cfg StudyConfig, p taxonomy.Platform, arm string, seed uint64) (*checkedArm, error) {
 	a := &checkedArm{seed: seed, stragglerProb: cfg.Faults.StragglerProb}
 	value := func(c, i int) []byte { return []byte(fmt.Sprintf("s%d/c%d/op%d", seed, c, i)) }
@@ -140,8 +145,8 @@ func newCheckedArm(cfg StudyConfig, p taxonomy.Platform, arm string, seed uint64
 		a.env = newPlatformEnv(p, a.seed, 1, ObsConfig{})
 		scfg := spanner.DefaultConfig()
 		scfg.RPC = resilienceRPCPolicy()
-		if arm != "" {
-			scfg.ClockEps = cfg.Part.ClockEps
+		if arm != armSafety {
+			scfg.ClockEps = partitionClockEps
 		}
 		switch arm {
 		case armHardened, armBaseline:
@@ -168,13 +173,13 @@ func newCheckedArm(cfg StudyConfig, p taxonomy.Platform, arm string, seed uint64
 			// With commit-wait enabled the same skew would only stretch the
 			// wait, never break the ordering.
 			for r := 0; r < scfg.Regions; r++ {
-				if err := db.SetClockSkew(0, r, 20*cfg.Part.ClockEps, 0); err != nil {
+				if err := db.SetClockSkew(0, r, 20*partitionClockEps, 0); err != nil {
 					return nil, err
 				}
 			}
 		}
 		a.op = func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
-			g, r := rng.Intn(scfg.Groups), rng.Intn(cfg.Check.HotRows)
+			g, r := rng.Intn(scfg.Groups), rng.Intn(hotRows)
 			if rng.Bool(0.5) {
 				_, err := db.Read(p, nil, g, r, rng.Bool(0.15))
 				return false, err
@@ -216,7 +221,7 @@ func newCheckedArm(cfg StudyConfig, p taxonomy.Platform, arm string, seed uint64
 		a.h, a.reg = watch(a.env.K, db)
 		a.reg.Register("bigtable-dfs", db.DFS().CheckReplicaConsistency)
 		a.op = func(p *sim.Proc, rng *stats.RNG, c, i int) (bool, error) {
-			t, r := rng.Intn(bcfg.Tablets), rng.Intn(cfg.Check.HotRows)
+			t, r := rng.Intn(bcfg.Tablets), rng.Intn(hotRows)
 			if arm == armBroken {
 				// Concentrate the demonstration arm on two tablets (one on a
 				// partitionable server) so writes lost to the broken fixture
@@ -274,6 +279,87 @@ func newCheckedArm(cfg StudyConfig, p taxonomy.Platform, arm string, seed uint64
 	slices.Sort(a.nodes)
 	a.nodes = slices.Compact(a.nodes)
 	return a, nil
+}
+
+// checkedUnitKind tags checked arms in the unit registry.
+const checkedUnitKind = "checked/arm"
+
+// armSafety is the safety study's torture arm: the plain deployment under
+// crash and straggler faults. The partition study's arms are armBaseline,
+// armNaive, armHardened and armBroken.
+const armSafety = ""
+
+// checkedUnit is one (platform, arm, seed) run of a checked arm. A zero
+// horizon is the fault-free calibration run; a positive horizon is a faulted
+// run with a schedule spanning it.
+type checkedUnit struct {
+	Platform taxonomy.Platform `json:"platform"`
+	Arm      string            `json:"arm"`
+	Seed     uint64            `json:"seed"`
+	Horizon  time.Duration     `json:"horizon"`
+}
+
+// checkedResult is one completed checked arm, self-contained so arms can
+// execute on concurrent goroutines — or in worker subprocesses — and merge
+// afterwards in fixed order. Each study maps Row onto its own row type.
+type checkedResult struct {
+	Row        PartitionRow
+	Violations []SafetyViolation
+	Marks      []trace.Mark
+}
+
+// run drives the arm's clients under its fault schedule and condenses the
+// run: availability and goodput from the drive counters, staleness from the
+// recorded history and violations from every checker. The safety arm's
+// closed loop runs under a crash and straggler schedule, and it marks its
+// violations. The partition arms' clients are paced over the horizon under
+// the nemesis, and a faulted partition arm marks its applied faults and its
+// violations. The arm builds its own environment and kernel and touches no
+// study state, so distinct arms may run concurrently.
+func (u checkedUnit) run(cfg StudyConfig) (checkedResult, error) {
+	a, err := newCheckedArm(cfg, u.Platform, u.Arm, u.Seed)
+	if err != nil {
+		return checkedResult{}, err
+	}
+	safety := u.Arm == armSafety
+	if u.Horizon > 0 {
+		sc := cfg.Faults.schedule(u.Horizon, a.seed, a.stragglerProb)
+		if safety {
+			a.eng.InjectAll(faults.GenerateSchedule(sorted(a.crash), sc))
+		} else {
+			a.eng.InjectAll(nemesisSchedule(a, u.Platform, u.Horizon, sc))
+		}
+	}
+	role, salt, pace := "partition", uint64(0x50415254), u.Horizon // "PART"
+	if safety {
+		role, salt, pace = "torture", 0x53414645, 0 // "SAFE"
+	}
+	dc := drive(a.env, u.Platform, role, cfg.Clients, cfg.Ops.of(u.Platform), stats.NewRNG(u.Seed^salt), pace, a.op)
+	row := PartitionRow{
+		Platform: u.Platform, Arm: u.Arm, Seed: u.Seed,
+		Ops: dc.ops, Errors: dc.errs, Writes: dc.writes, WriteErrors: dc.werrs,
+		Elapsed: dc.elapsed, WriteAvailability: 1, FaultsApplied: len(a.eng.Applied),
+	}
+	if dc.ops > 0 {
+		row.Availability = float64(dc.ops-dc.errs) / float64(dc.ops)
+	}
+	if dc.writes > 0 {
+		row.WriteAvailability = float64(dc.writes-dc.werrs) / float64(dc.writes)
+	}
+	if dc.elapsed > 0 {
+		row.GoodputOpsPerSec = float64(dc.ops-dc.errs) / dc.elapsed.Seconds()
+	}
+	row.StaleReads, row.MaxStaleness = a.h.Staleness()
+	violations, marks := collect(u.Platform, u.Seed, a.h, a.reg, a.env.K.Now())
+	row.Violations = len(violations)
+	out := checkedResult{Row: row, Violations: violations}
+	switch {
+	case safety:
+		out.Marks = marks
+	case u.Horizon > 0:
+		out.Marks = append(faultMarks(a.eng), marks...)
+	}
+	return out, nil
 }
 
 // checked is a platform that records operation histories and declares

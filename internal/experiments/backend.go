@@ -71,6 +71,11 @@ func runUnits[U unit[R], R any](cfg StudyConfig, kind string, units []U) ([]R, e
 	return nil, fmt.Errorf("experiments: unknown backend %q (want \"\" or %q)", cfg.Backend, BackendExec)
 }
 
+// execRetries bounds re-dispatches of a unit after a worker crash, timeout or
+// protocol failure. Application errors are never retried: a deterministic
+// failure must surface identically on every backend.
+const execRetries = 1
+
 // runExec ships units across hyperprof -worker subprocesses and returns the
 // serialized results in unit order.
 func runExec[U any](cfg StudyConfig, kind string, units []U) ([]json.RawMessage, error) {
@@ -78,13 +83,6 @@ func runExec[U any](cfg StudyConfig, kind string, units []U) ([]json.RawMessage,
 	workers := ec.Workers
 	if workers <= 0 {
 		workers = Parallelism(cfg.Parallel)
-	}
-	retries := ec.Retries
-	switch {
-	case retries == 0:
-		retries = 1
-	case retries < 0:
-		retries = 0
 	}
 	// Workers run units in a fresh process, so the config they see must not
 	// re-select a backend: arms execute directly.
@@ -96,7 +94,7 @@ func runExec[U any](cfg StudyConfig, kind string, units []U) ([]json.RawMessage,
 		Env:         ec.Env,
 		Workers:     workers,
 		UnitTimeout: ec.UnitTimeout,
-		Retries:     retries,
+		Retries:     execRetries,
 	}
 	wire := make([]dispatch.Unit, len(units))
 	for i, u := range units {
@@ -122,11 +120,10 @@ type wireUnit struct {
 // unitRunners maps each unit kind to the function that decodes and runs it.
 // Exec workers resolve kinds here.
 var unitRunners = map[string]func(cfg StudyConfig, body json.RawMessage) (any, error){
-	safetyUnitKind:     decodeRun[safetyUnit, safetyArm],
 	latencyUnitKind:    decodeRun[latencyUnit, LatencyPoint],
 	resilienceUnitKind: decodeRun[resilienceUnit, [2]resilienceArm],
 	overloadUnitKind:   decodeRun[overloadUnit, [2]overloadArm],
-	partitionUnitKind:  decodeRun[partitionUnit, partitionArm],
+	checkedUnitKind:    decodeRun[checkedUnit, checkedResult],
 	fleetUnitKind:      decodeRun[fleetUnit, FleetRow],
 	pipelineUnitKind:   decodeRun[pipelineUnit, pipelineArm],
 }

@@ -245,12 +245,14 @@ func TestUnknownBackendRejected(t *testing.T) {
 // TestUnitRegistryRoundTrip runs one small unit of every registered kind
 // in-process, then again through the registry from its JSON form, as an exec
 // worker would, and requires the result bytes to match. The unit and the
-// result must also re-marshal to identical bytes after decoding. A kind
-// without a case here, or a case whose kind is not registered, fails.
+// result must also re-marshal to identical bytes after decoding. The checked
+// kind gets one case per study that runs it: a safety arm and a partition
+// arm. A kind without a case here, or a case whose kind is not registered,
+// fails.
 func TestUnitRegistryRoundTrip(t *testing.T) {
 	small := StudyConfig{Seed: 3, Clients: 2, TraceRate: 1,
 		Ops:   PlatformOps{Spanner: 20, BigTable: 20, BigQuery: 2},
-		Check: CheckConfig{Seeds: 1, HotRows: 4}}
+		Check: CheckConfig{Seeds: 1}}
 	overload := overloadTestConfig()
 	overload.Load.Duration = 300 * time.Millisecond
 	overload.Load.TriggerAt = 100 * time.Millisecond
@@ -262,40 +264,47 @@ func TestUnitRegistryRoundTrip(t *testing.T) {
 	pipeline := DefaultPipelineStudyConfig()
 	pipeline.Pipe = PipelineConfig{Records: 4, Batches: 2, Iterations: 1}
 	fleet := smallFleetConfig()
-	cases := map[string]func(t *testing.T){
-		safetyUnitKind: func(t *testing.T) {
-			roundTrip(t, small, safetyUnitKind, safetyUnit{Platform: taxonomy.BigTable, Seed: 3, Horizon: 50 * time.Millisecond})
-		},
-		latencyUnitKind: func(t *testing.T) {
+	cases := []struct {
+		name, kind string
+		run        func(t *testing.T)
+	}{
+		{"safety/arm", checkedUnitKind, func(t *testing.T) {
+			roundTrip(t, small, checkedUnitKind, checkedUnit{Platform: taxonomy.BigTable, Arm: armSafety, Seed: 3, Horizon: 50 * time.Millisecond})
+		}},
+		{"partition/arm", checkedUnitKind, func(t *testing.T) {
+			roundTrip(t, partition, checkedUnitKind, checkedUnit{Platform: taxonomy.Spanner, Arm: armBroken, Seed: 3, Horizon: 20 * time.Millisecond})
+		}},
+		{latencyUnitKind, latencyUnitKind, func(t *testing.T) {
 			roundTrip(t, small, latencyUnitKind, latencyUnit{Rate: 800, Ops: 20})
-		},
-		resilienceUnitKind: func(t *testing.T) {
+		}},
+		{resilienceUnitKind, resilienceUnitKind, func(t *testing.T) {
 			roundTrip(t, resilience, resilienceUnitKind, resilienceUnit{Platform: taxonomy.BigQuery})
-		},
-		overloadUnitKind: func(t *testing.T) {
+		}},
+		{overloadUnitKind, overloadUnitKind, func(t *testing.T) {
 			roundTrip(t, overload, overloadUnitKind, overloadUnit{Platform: taxonomy.BigQuery})
-		},
-		partitionUnitKind: func(t *testing.T) {
-			roundTrip(t, partition, partitionUnitKind, partitionUnit{Platform: taxonomy.Spanner, Arm: armBroken, Seed: 3, Horizon: 20 * time.Millisecond})
-		},
-		fleetUnitKind: func(t *testing.T) {
+		}},
+		{fleetUnitKind, fleetUnitKind, func(t *testing.T) {
 			roundTrip(t, fleet, fleetUnitKind, fleet.fleetUnits()[1])
-		},
-		pipelineUnitKind: func(t *testing.T) {
+		}},
+		{pipelineUnitKind, pipelineUnitKind, func(t *testing.T) {
 			roundTrip(t, pipeline, pipelineUnitKind, pipelineUnit{Arm: armFaulted, Seed: 3, Horizon: 20 * time.Millisecond})
-		},
+		}},
+	}
+	covered := map[string]bool{}
+	for _, c := range cases {
+		covered[c.kind] = true
 	}
 	for kind := range unitRunners {
-		if cases[kind] == nil {
+		if !covered[kind] {
 			t.Errorf("registered unit kind %q has no round-trip case", kind)
 		}
 	}
-	for kind, run := range cases {
-		if unitRunners[kind] == nil {
-			t.Errorf("unit kind %q is missing from the registry", kind)
+	for _, c := range cases {
+		if unitRunners[c.kind] == nil {
+			t.Errorf("unit kind %q is missing from the registry", c.kind)
 			continue
 		}
-		t.Run(kind, run)
+		t.Run(c.name, c.run)
 	}
 }
 

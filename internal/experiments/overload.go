@@ -32,6 +32,36 @@ import (
 	"hyperprof/internal/workload"
 )
 
+// The retry-storm trigger's strength: over the configured trigger window the
+// servers' service times are multiplied by overloadSlowFactor (a brownout)
+// and the flash tenant's rate by overloadFlashMult (a flash crowd).
+const (
+	overloadSlowFactor float64 = 10
+	overloadFlashMult  float64 = 4
+)
+
+// overloadWindow is the goodput accounting bucket width.
+const overloadWindow = 50 * time.Millisecond
+
+// The protected arm's control plane; the naive arm runs with unbounded
+// queues and eager retries. Server-side admission (netsim.Admission
+// semantics) bounds queues at overloadMaxQueue, expires requests that wait
+// past overloadTarget for an overloadInterval (CoDel), and sheds adaptively
+// from overloadShedStartFrac of the bound. Each client meters its retries
+// with a token bucket of overloadRetryBudget and opens a per-target breaker
+// for overloadBreakerCooldown after overloadBreakerFailures failures. The
+// tenant governor shares overloadQoSCapacity concurrent operations by weight.
+const (
+	overloadMaxQueue        = 64
+	overloadTarget          = 2 * time.Millisecond
+	overloadInterval        = 5 * time.Millisecond
+	overloadShedStartFrac   = 0.7
+	overloadRetryBudget     = 10
+	overloadBreakerFailures = 5
+	overloadBreakerCooldown = 25 * time.Millisecond
+	overloadQoSCapacity     = 96
+)
+
 // overloadTenants returns the study's fixed tenant mix for a platform's total
 // offered rate: a high-priority interactive tenant with half the load, a
 // batch tenant with 30%, and the flash tenant (the one the trigger surges)
@@ -59,26 +89,24 @@ func (o *Overload) overloadRPCPolicy(protected bool, deadline time.Duration) net
 			BackoffMax:  500 * time.Microsecond,
 		}
 	}
-	l := o.Cfg.Load
 	return netsim.Policy{
 		Deadline:        deadline,
 		MaxAttempts:     3,
 		BackoffBase:     500 * time.Microsecond,
 		BackoffMax:      5 * time.Millisecond,
-		RetryBudget:     l.RetryBudget,
-		BreakerFailures: l.BreakerFailures,
-		BreakerCooldown: l.BreakerCooldown,
+		RetryBudget:     overloadRetryBudget,
+		BreakerFailures: overloadBreakerFailures,
+		BreakerCooldown: overloadBreakerCooldown,
 	}
 }
 
 // admission builds the protected arm's server-side admission knobs.
 func (o *Overload) admission() netsim.Admission {
-	l := o.Cfg.Load
 	return netsim.Admission{
-		MaxQueue:      l.MaxQueue,
-		Target:        l.Target,
-		Interval:      l.Interval,
-		ShedStartFrac: l.ShedStartFrac,
+		MaxQueue:      overloadMaxQueue,
+		Target:        overloadTarget,
+		Interval:      overloadInterval,
+		ShedStartFrac: overloadShedStartFrac,
 		Seed:          o.Cfg.Seed ^ 0x4f564c44, // "OVLD"
 	}
 }
@@ -270,12 +298,12 @@ func (o *Overload) runArm(p taxonomy.Platform, protected bool) (overloadArm, err
 	}
 	var gov *netsim.TenantGovernor
 	if protected {
-		gov = netsim.NewTenantGovernor(l.QoSCapacity)
+		gov = netsim.NewTenantGovernor(overloadQoSCapacity)
 		gov.EnableMetrics(env.Obs)
 	}
 	run := workload.Overload(env, workload.OverloadConfig{
 		Duration: l.Duration,
-		Window:   l.Window,
+		Window:   overloadWindow,
 		Tenants:  overloadTenants(rate),
 		Governor: gov,
 		Shape:    cfg.Shape,
@@ -288,7 +316,7 @@ func (o *Overload) runArm(p taxonomy.Platform, protected bool) (overloadArm, err
 	eng.Register("tenant/flash", faults.Actions{
 		SetRate: func(mult float64) { run.SetRateMult("flash", mult) },
 	})
-	eng.RunScenario(faults.RetryStorm(brownout, "tenant/flash", l.TriggerAt, l.TriggerDur, l.SlowFactor, l.FlashMult))
+	eng.RunScenario(faults.RetryStorm(brownout, "tenant/flash", l.TriggerAt, l.TriggerDur, overloadSlowFactor, overloadFlashMult))
 
 	// Drain the run, then stop the platform behind it on the sim clock (the
 	// open-loop driver has no shutdown hook of its own).
@@ -351,7 +379,7 @@ func RenderOverload(o *Overload) string {
 	var b strings.Builder
 	l := o.Cfg.Load
 	fmt.Fprintf(&b, "Overload control under a retry storm (seed %d; trigger %v+%v, slow x%.0f, flash x%.0f)\n",
-		o.Cfg.Seed, l.TriggerAt, l.TriggerDur, l.SlowFactor, l.FlashMult)
+		o.Cfg.Seed, l.TriggerAt, l.TriggerDur, overloadSlowFactor, overloadFlashMult)
 	fmt.Fprintf(&b, "%-10s %-10s %7s %7s %6s %6s %9s %9s %7s %6s %7s %7s %6s %6s %6s\n",
 		"platform", "arm", "offered", "done", "errs", "thr", "pre/s", "post/s", "recov%", "sheds", "expired", "retries", "budget", "brkr", "fair")
 	for _, row := range o.Rows {

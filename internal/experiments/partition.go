@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hyperprof/internal/faults"
-	"hyperprof/internal/stats"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
 )
@@ -35,6 +34,35 @@ const (
 	armHardened = "hardened"
 	armBroken   = "broken"
 )
+
+// The partition study's nemesis, as fractions of and probabilities over the
+// calibrated horizon (mirroring FaultConfig). Partition windows arrive every
+// partitionMTBFFrac of the horizon and last partitionMTTRFrac of it. With
+// probability partitionGrayProb one asymmetric gray-link window adds
+// partitionGrayExtra per message and drops partitionGrayDrop of them, one
+// direction only. Each replica has a partitionClockSkewProb chance of one
+// clock-skew window with offset in [-partitionClockSkewMax,
+// partitionClockSkewMax] and drift in [-partitionClockDriftMax,
+// partitionClockDriftMax].
+const (
+	partitionMTBFFrac      = 0.4
+	partitionMTTRFrac      = 0.12
+	partitionGrayProb      = 0.6
+	partitionGrayExtra     = 300 * time.Microsecond
+	partitionGrayDrop      = 0.05
+	partitionClockSkewProb = 0.5
+	partitionClockSkewMax  = 700 * time.Microsecond
+	partitionClockDriftMax = 1e-4
+)
+
+// partitionClockEps is the TrueTime-style uncertainty bound Spanner runs
+// with in every partition-study arm: commit timestamps come from the skewed
+// local clock and commits wait the bound out before acknowledging. The skew
+// plus the drift accumulated over the horizon must stay inside it, or the
+// hardened arm's commit-wait cannot guarantee external consistency — the
+// bound TrueTime itself assumes. partitionClockSkewMax +
+// partitionClockDriftMax × horizon stays under 1ms for any horizon below 3s.
+const partitionClockEps = time.Millisecond
 
 // PartitionRow is one (platform, arm, seed) measurement.
 type PartitionRow struct {
@@ -93,26 +121,6 @@ type Partition struct {
 // zero violations (broken arms are expected to violate and do not count).
 func (s *Partition) Ok() bool { return len(s.Violations) == 0 }
 
-// partitionArm is one completed arm, self-contained for concurrent (or
-// out-of-process) execution and ordered merge.
-type partitionArm struct {
-	Row        PartitionRow
-	Violations []SafetyViolation
-	Marks      []trace.Mark
-}
-
-// partitionUnitKind tags partition arms in the unit registry.
-const partitionUnitKind = "partition/arm"
-
-// partitionUnit is one (platform, arm, seed) run; a zero horizon is the
-// fault-free calibration run.
-type partitionUnit struct {
-	Platform taxonomy.Platform `json:"platform"`
-	Arm      string            `json:"arm"`
-	Seed     uint64            `json:"seed"`
-	Horizon  time.Duration     `json:"horizon"`
-}
-
 // Partition runs the partition study: per platform one fault-free
 // calibration run (whose elapsed time becomes the nemesis horizon), then a
 // naive and a hardened arm per seed, then the broken demonstration arms when
@@ -120,16 +128,16 @@ type partitionUnit struct {
 // configured backend and merge in fixed (platform, arm, seed) order, so the
 // export is byte-identical sequential vs parallel and across backends.
 func (cfg StudyConfig) Partition() (*Partition, error) {
-	if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 || cfg.Check.HotRows <= 0 || cfg.Part.MTBFFrac <= 0 {
+	if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 {
 		return nil, fmt.Errorf("experiments: invalid partition config %+v", cfg)
 	}
 	s := &Partition{Cfg: cfg, Marks: map[taxonomy.Platform][]trace.Mark{}}
 	platforms := taxonomy.Platforms()
-	var calUnits, units []partitionUnit
+	var calUnits, units []checkedUnit
 	for _, p := range platforms {
-		calUnits = append(calUnits, partitionUnit{Platform: p, Arm: armBaseline, Seed: cfg.Seed})
+		calUnits = append(calUnits, checkedUnit{Platform: p, Arm: armBaseline, Seed: cfg.Seed})
 	}
-	cals, err := runUnits(cfg, partitionUnitKind, calUnits)
+	cals, err := runUnits(cfg, checkedUnitKind, calUnits)
 	if err != nil {
 		return nil, err
 	}
@@ -137,17 +145,17 @@ func (cfg StudyConfig) Partition() (*Partition, error) {
 		horizon := cals[i].Row.Elapsed
 		for j := 0; j < cfg.Check.Seeds; j++ {
 			for _, arm := range []string{armNaive, armHardened} {
-				units = append(units, partitionUnit{Platform: p, Arm: arm, Seed: cfg.Seed + uint64(j), Horizon: horizon})
+				units = append(units, checkedUnit{Platform: p, Arm: arm, Seed: cfg.Seed + uint64(j), Horizon: horizon})
 			}
 		}
 		// Broken arms exist for Spanner (commit-wait off) and BigTable
 		// (unlogged partition writes); BigQuery's shuffle has no equivalent
 		// split-brain write path to break.
 		if cfg.Part.IncludeBroken && p != taxonomy.BigQuery {
-			units = append(units, partitionUnit{Platform: p, Arm: armBroken, Seed: cfg.Seed, Horizon: horizon})
+			units = append(units, checkedUnit{Platform: p, Arm: armBroken, Seed: cfg.Seed, Horizon: horizon})
 		}
 	}
-	arms, err := runUnits(cfg, partitionUnitKind, units)
+	arms, err := runUnits(cfg, checkedUnitKind, units)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +171,7 @@ func (cfg StudyConfig) Partition() (*Partition, error) {
 // merge folds one arm into the study in deterministic order. Broken-arm
 // violations are routed to the expected bucket; the first hardened arm's
 // fault marks become the platform's Chrome-trace marks.
-func (s *Partition) merge(p taxonomy.Platform, arm partitionArm) {
+func (s *Partition) merge(p taxonomy.Platform, arm checkedResult) {
 	s.Rows = append(s.Rows, arm.Row)
 	if arm.Row.Arm == armBroken {
 		s.BrokenViolations = append(s.BrokenViolations, arm.Violations...)
@@ -175,67 +183,30 @@ func (s *Partition) merge(p taxonomy.Platform, arm partitionArm) {
 	}
 }
 
-// run runs the arm's paced clients under the nemesis — partition windows,
-// one optional gray link and clock skew over the calibrated horizon, with a
-// lighter crash schedule riding along — and condenses the run into an arm:
-// availability and goodput from the drive counters, staleness from the
-// recorded history, violations from every checker, and fault marks from the
-// engine. The arm builds its own environment and kernel and touches no study
-// state, so distinct arms may run concurrently.
-func (u partitionUnit) run(cfg StudyConfig) (partitionArm, error) {
-	a, err := newCheckedArm(cfg, u.Platform, u.Arm, u.Seed)
-	if err != nil {
-		return partitionArm{}, err
+// nemesisSchedule draws a partition arm's nemesis over the calibrated
+// horizon: partition windows, one optional gray link and clock skew on top
+// of sc's lighter crash schedule.
+func nemesisSchedule(a *checkedArm, p taxonomy.Platform, horizon time.Duration, sc faults.ScheduleConfig) []faults.Event {
+	crash := a.crash
+	if p == taxonomy.BigQuery {
+		// BigQuery's nemesis crashes shuffle servers only: its chunkserver
+		// (the last crash target) stays up.
+		crash = crash[:len(crash)-1]
 	}
-	if u.Horizon > 0 {
-		crash := a.crash
-		if u.Platform == taxonomy.BigQuery {
-			// BigQuery's nemesis crashes shuffle servers only: its
-			// chunkserver (the last crash target) stays up.
-			crash = crash[:len(crash)-1]
-		}
-		part := cfg.Part
-		a.eng.InjectAll(faults.GenerateNemesisSchedule(crash, faults.NemesisConfig{
-			ScheduleConfig:   cfg.Faults.schedule(u.Horizon, a.seed, a.stragglerProb),
-			Nodes:            a.nodes,
-			PartitionTargets: a.partition,
-			PartitionMTBF:    time.Duration(float64(u.Horizon) * part.MTBFFrac),
-			PartitionMTTR:    time.Duration(float64(u.Horizon) * part.MTTRFrac),
-			GrayProb:         part.GrayProb,
-			GrayExtra:        part.GrayExtra,
-			GrayDrop:         part.GrayDrop,
-			ClockTargets:     a.clocks,
-			ClockSkewProb:    part.ClockSkewProb,
-			ClockSkewMax:     part.ClockSkewMax,
-			ClockDriftMax:    part.ClockDriftMax,
-		}))
-	}
-	dc := drive(a.env, u.Platform, "partition", cfg.Clients, cfg.Ops.of(u.Platform),
-		stats.NewRNG(u.Seed^0x50415254), u.Horizon, a.op) // "PART"
-	row := PartitionRow{
-		Platform: u.Platform, Arm: u.Arm, Seed: u.Seed,
-		Ops: dc.ops, Errors: dc.errs, Writes: dc.writes, WriteErrors: dc.werrs,
-		Elapsed: dc.elapsed, WriteAvailability: 1,
-	}
-	if dc.ops > 0 {
-		row.Availability = float64(dc.ops-dc.errs) / float64(dc.ops)
-	}
-	if dc.writes > 0 {
-		row.WriteAvailability = float64(dc.writes-dc.werrs) / float64(dc.writes)
-	}
-	if dc.elapsed > 0 {
-		row.GoodputOpsPerSec = float64(dc.ops-dc.errs) / dc.elapsed.Seconds()
-	}
-	row.StaleReads, row.MaxStaleness = a.h.Staleness()
-	violations, marks := collect(u.Platform, u.Seed, a.h, a.reg, a.env.K.Now())
-	row.Violations = len(violations)
-	out := partitionArm{Violations: violations}
-	if u.Horizon > 0 {
-		row.FaultsApplied = len(a.eng.Applied)
-		out.Marks = append(faultMarks(a.eng), marks...)
-	}
-	out.Row = row
-	return out, nil
+	return faults.GenerateNemesisSchedule(crash, faults.NemesisConfig{
+		ScheduleConfig:   sc,
+		Nodes:            a.nodes,
+		PartitionTargets: a.partition,
+		PartitionMTBF:    time.Duration(float64(horizon) * partitionMTBFFrac),
+		PartitionMTTR:    time.Duration(float64(horizon) * partitionMTTRFrac),
+		GrayProb:         partitionGrayProb,
+		GrayExtra:        partitionGrayExtra,
+		GrayDrop:         partitionGrayDrop,
+		ClockTargets:     a.clocks,
+		ClockSkewProb:    partitionClockSkewProb,
+		ClockSkewMax:     partitionClockSkewMax,
+		ClockDriftMax:    partitionClockDriftMax,
+	})
 }
 
 // JSON renders the study's machine-readable export: seed, rows and the
@@ -258,7 +229,7 @@ func (s *Partition) JSON() ([]byte, error) {
 func RenderPartition(s *Partition) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Partition nemesis study (base seed %d, %d seeds/arm; partitions + gray links + clock skew, eps %v)\n",
-		s.Cfg.Seed, s.Cfg.Check.Seeds, s.Cfg.Part.ClockEps)
+		s.Cfg.Seed, s.Cfg.Check.Seeds, partitionClockEps)
 	fmt.Fprintf(&b, "%-10s %-9s %6s %6s %5s %7s %7s %10s %10s %6s %10s %7s %10s\n",
 		"platform", "arm", "seed", "ops", "errs", "avail%", "wavail%", "elapsed", "goodput/s", "stale", "staleness", "faults", "violations")
 	for _, row := range s.Rows {

@@ -199,9 +199,9 @@ func TestPartitionStudyIdenticalAcrossBackends(t *testing.T) {
 
 func TestPartitionStudyRejectsInvalidConfig(t *testing.T) {
 	cfg := smallPartitionConfig()
-	cfg.Part.MTBFFrac = 0
+	cfg.Check.Seeds = 0
 	if _, err := cfg.Partition(); err == nil {
-		t.Fatal("want error for zero partition MTBF")
+		t.Fatal("want error for zero faulted seeds")
 	}
 }
 

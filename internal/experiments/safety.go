@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"hyperprof/internal/check"
-	"hyperprof/internal/faults"
-	"hyperprof/internal/stats"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
 )
@@ -83,27 +81,6 @@ func writeViolations(b *strings.Builder, vs []SafetyViolation) {
 // Ok reports whether the study finished with zero violations.
 func (s *Safety) Ok() bool { return len(s.Violations) == 0 }
 
-// safetyArm is one completed (platform, seed) torture run, self-contained so
-// arms can execute on concurrent goroutines — or in worker subprocesses —
-// and merge afterwards in fixed (platform, seed) order.
-type safetyArm struct {
-	Row        SafetyRow
-	Violations []SafetyViolation
-	Marks      []trace.Mark
-}
-
-// safetyUnitKind tags safety arms in the unit registry.
-const safetyUnitKind = "safety/arm"
-
-// safetyUnit is one (platform, seed) arm. A zero horizon is the fault-free
-// calibration run; a positive horizon is a torture run with a fault
-// schedule spanning it.
-type safetyUnit struct {
-	Platform taxonomy.Platform `json:"platform"`
-	Seed     uint64            `json:"seed"`
-	Horizon  time.Duration     `json:"horizon"`
-}
-
 // Safety runs the torture harness: per platform, one fault-free calibration
 // run (whose elapsed time becomes the fault-schedule horizon) followed by
 // Check.Seeds faulted runs. Equal configs replay bit-identically, and the
@@ -111,64 +88,46 @@ type safetyUnit struct {
 // faulted (platform, seed) arm — merging results in the same order the
 // sequential loop produced.
 func (cfg StudyConfig) Safety() (*Safety, error) {
-	if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 || cfg.Check.HotRows <= 0 {
+	if cfg.Clients <= 0 || cfg.Check.Seeds <= 0 {
 		return nil, fmt.Errorf("experiments: invalid safety config %+v", cfg)
 	}
 	s := &Safety{Cfg: cfg, Marks: map[taxonomy.Platform][]trace.Mark{}}
 	platforms := taxonomy.Platforms()
-	var calUnits, tortureUnits []safetyUnit
+	var calUnits, tortureUnits []checkedUnit
 	for _, p := range platforms {
-		calUnits = append(calUnits, safetyUnit{Platform: p, Seed: cfg.Seed})
+		calUnits = append(calUnits, checkedUnit{Platform: p, Arm: armSafety, Seed: cfg.Seed})
 	}
-	cals, err := runUnits(cfg, safetyUnitKind, calUnits)
+	cals, err := runUnits(cfg, checkedUnitKind, calUnits)
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range platforms {
 		for j := 0; j < cfg.Check.Seeds; j++ {
-			tortureUnits = append(tortureUnits, safetyUnit{Platform: p, Seed: cfg.Seed + uint64(j), Horizon: cals[i].Row.Elapsed})
+			tortureUnits = append(tortureUnits, checkedUnit{Platform: p, Arm: armSafety, Seed: cfg.Seed + uint64(j), Horizon: cals[i].Row.Elapsed})
 		}
 	}
-	tortured, err := runUnits(cfg, safetyUnitKind, tortureUnits)
+	tortured, err := runUnits(cfg, checkedUnitKind, tortureUnits)
 	if err != nil {
 		return nil, err
 	}
 	for i, p := range platforms {
-		s.merge(p, cals[i])
+		s.merge(p, cals[i], false)
 		for j := 0; j < cfg.Check.Seeds; j++ {
-			s.merge(p, tortured[i*cfg.Check.Seeds+j])
+			s.merge(p, tortured[i*cfg.Check.Seeds+j], true)
 		}
 	}
 	return s, nil
 }
 
-// merge folds one arm's results into the study. It is the only place study
-// state mutates, and it runs sequentially after the arms complete.
-func (s *Safety) merge(p taxonomy.Platform, arm safetyArm) {
-	s.Rows = append(s.Rows, arm.Row)
+// merge folds one arm's results into the study, as a torture row when
+// faulted and a calibration row otherwise. It is the only place study state
+// mutates, and it runs sequentially after the arms complete.
+func (s *Safety) merge(p taxonomy.Platform, arm checkedResult, faulted bool) {
+	r := arm.Row
+	s.Rows = append(s.Rows, SafetyRow{Platform: r.Platform, Seed: r.Seed, Faulted: faulted,
+		Ops: r.Ops, Errors: r.Errors, Elapsed: r.Elapsed, FaultsApplied: r.FaultsApplied, Violations: r.Violations})
 	s.Violations = append(s.Violations, arm.Violations...)
 	s.Marks[p] = append(s.Marks[p], arm.Marks...)
-}
-
-// run runs the arm's closed-loop torture clients, injecting crash and
-// straggler faults over the platform's crash targets when the arm has a
-// horizon, and drains every checker. The arm builds its own environment and
-// kernel and touches no study state, so distinct arms may run concurrently.
-func (u safetyUnit) run(cfg StudyConfig) (safetyArm, error) {
-	a, err := newCheckedArm(cfg, u.Platform, "", u.Seed)
-	if err != nil {
-		return safetyArm{}, err
-	}
-	if u.Horizon > 0 {
-		a.eng.InjectAll(faults.GenerateSchedule(sorted(a.crash), cfg.Faults.schedule(u.Horizon, a.seed, a.stragglerProb)))
-	}
-	dc := drive(a.env, u.Platform, "torture", cfg.Clients, cfg.Ops.of(u.Platform),
-		stats.NewRNG(u.Seed^0x53414645), 0, a.op) // "SAFE"
-	arm := safetyArm{Row: SafetyRow{Platform: u.Platform, Seed: u.Seed, Faulted: u.Horizon > 0,
-		Ops: dc.ops, Errors: dc.errs, Elapsed: dc.elapsed, FaultsApplied: len(a.eng.Applied)}}
-	arm.Violations, arm.Marks = collect(u.Platform, u.Seed, a.h, a.reg, a.env.K.Now())
-	arm.Row.Violations = len(arm.Violations)
-	return arm, nil
 }
 
 // RenderSafety renders the study as a fixed-width table followed by every

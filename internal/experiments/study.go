@@ -1,12 +1,12 @@
 package experiments
 
 // This file is the unified Study API: StudyConfig is the shared core — one
-// struct of grouped knobs (operation budgets, fault rates, checker sizing,
-// observability, load, nemesis, pipeline) with one method entry point per
-// study (Characterize, Safety, Resilience, Observe, Overload, Partition,
-// Fleet, Pipeline) and a Default*StudyConfig constructor per study. The
-// legacy per-study config structs and Run* wrappers that predated it have
-// been deleted; StudyConfig is the only way in.
+// struct of grouped knobs (operation budgets, fault rates, checker seeds,
+// observability, offered load, partition arms, pipeline) with one method
+// entry point per study (Characterize, Safety, Resilience, Observe,
+// Overload, Partition, Fleet, Pipeline) and a Default*StudyConfig
+// constructor per study. The legacy per-study config structs and Run*
+// wrappers are gone; StudyConfig is the only way in.
 
 import (
 	"time"
@@ -55,78 +55,32 @@ type FaultConfig struct {
 	NetDropProb    float64
 }
 
-// CheckConfig sizes the safety checker: how many faulted seeds to sweep and
-// how hot the contended row range is.
+// CheckConfig sizes the safety checker: how many faulted seeds to sweep.
 type CheckConfig struct {
 	// Seeds is the number of faulted runs per platform.
 	Seeds int
-	// HotRows bounds the contended row range so concurrent clients collide
-	// on the same registers, giving the linearizability checker real overlap.
-	HotRows int
 }
 
-// LoadConfig sizes the overload study: open-loop offered load per platform,
-// the retry-storm trigger window, and the protected arm's overload-control
-// knobs. Rates are total offered operations per virtual second, split across
-// the study's three tenants (interactive 50%, batch 30%, flash 20%).
+// LoadConfig sizes the overload study: open-loop offered load per platform
+// and the retry-storm trigger window. Rates are total offered operations per
+// virtual second, split across the study's three tenants (interactive 50%,
+// batch 30%, flash 20%). The trigger's strength and the protected arm's
+// control-plane settings are fixed (see overload.go).
 type LoadConfig struct {
 	// SpannerRate, BigTableRate and BigQueryRate are the total open-loop
 	// arrival rates (ops per virtual second) per platform.
 	SpannerRate, BigTableRate, BigQueryRate float64
 	// Duration is the arrival horizon; operations in flight still drain.
 	Duration time.Duration
-	// Window is the goodput accounting bucket width (0 = 50ms).
-	Window time.Duration
-	// TriggerAt and TriggerDur place the retry-storm trigger: a brownout
-	// (service times multiplied by SlowFactor) compounded by a flash crowd
-	// (the flash tenant's rate multiplied by FlashMult) over
+	// TriggerAt and TriggerDur place the retry-storm trigger over
 	// [TriggerAt, TriggerAt+TriggerDur).
 	TriggerAt, TriggerDur time.Duration
-	SlowFactor            float64
-	FlashMult             float64
-	// The remaining knobs arm the protected arm only; the naive arm runs
-	// with unbounded queues and eager retries.
-	// MaxQueue, Target, Interval and ShedStartFrac configure server-side
-	// admission (netsim.Admission semantics).
-	MaxQueue      int
-	Target        time.Duration
-	Interval      time.Duration
-	ShedStartFrac float64
-	// RetryBudget is the per-client retry token bucket; BreakerFailures and
-	// BreakerCooldown configure per-target circuit breakers.
-	RetryBudget     float64
-	BreakerFailures int
-	BreakerCooldown time.Duration
-	// QoSCapacity is the tenant governor's shared concurrency capacity.
-	QoSCapacity int
 }
 
-// PartitionConfig sizes the partition study's nemesis: partition windows,
-// one optional gray link, and clock skew, all as fractions/probabilities
-// over the calibrated horizon (mirroring FaultConfig). The zero value
-// disables the nemesis dimensions; the partition study always sets it.
+// PartitionConfig selects the partition study's optional arms. The nemesis
+// itself (partition windows, one gray link, clock skew) and Spanner's
+// uncertainty bound are fixed (see partition.go).
 type PartitionConfig struct {
-	// MTBFFrac is the mean time between partition windows and MTTRFrac the
-	// mean window duration, both as fractions of the calibrated horizon.
-	MTBFFrac, MTTRFrac float64
-	// GrayProb is the chance of one asymmetric gray-link window per run,
-	// adding GrayExtra per message and dropping GrayDrop of them, one
-	// direction only.
-	GrayProb  float64
-	GrayExtra time.Duration
-	GrayDrop  float64
-	// ClockSkewProb is the per-replica chance of one clock-skew window with
-	// offset in [-ClockSkewMax, ClockSkewMax] and drift in [-ClockDriftMax,
-	// ClockDriftMax]. Keep ClockSkewMax (plus drift accumulated over the
-	// horizon) inside ClockEps or the hardened arm's commit-wait cannot
-	// guarantee external consistency — the bound TrueTime itself assumes.
-	ClockSkewProb float64
-	ClockSkewMax  time.Duration
-	ClockDriftMax float64
-	// ClockEps is the TrueTime-style uncertainty bound Spanner runs with in
-	// every partition-study arm: commit timestamps come from the skewed
-	// local clock and commits wait the bound out before acknowledging.
-	ClockEps time.Duration
 	// IncludeBroken adds the broken-knob demonstration arms (Spanner with
 	// commit-wait disabled under a deterministic fast clock, BigTable
 	// serving writes from a partitioned server that are discarded at heal).
@@ -200,7 +154,7 @@ type FleetConfig struct {
 }
 
 // ExecConfig sizes the exec execution backend: how many worker subprocesses
-// a study fans its units out across, and how failures are bounded.
+// a study fans its units out across, and how long one unit may run.
 type ExecConfig struct {
 	// Workers is the worker subprocess count. 0 falls back to
 	// Parallelism(Parallel) — the same knob the in-process pool resolves.
@@ -208,11 +162,6 @@ type ExecConfig struct {
 	// UnitTimeout bounds one work unit's wall-clock time per attempt; on
 	// expiry the worker is killed and the unit retried. 0 disables it.
 	UnitTimeout time.Duration
-	// Retries bounds re-dispatches of a unit after a worker crash, timeout
-	// or protocol failure. 0 means the default (1 retry); negative disables
-	// retries entirely. Application errors are never retried — a
-	// deterministic failure must surface identically on every backend.
-	Retries int
 	// Command overrides the worker argv. Empty means "this executable with
 	// a -worker argument", which cmd/hyperprof serves; tests point it at
 	// the re-exec'd test binary instead.
@@ -252,11 +201,9 @@ type StudyConfig struct {
 	Check CheckConfig
 	// Obs configures the observability plane.
 	Obs ObsConfig
-	// Load sizes the overload study (open-loop rates, trigger window and the
-	// protected arm's control-plane knobs).
+	// Load sizes the overload study (open-loop rates and trigger window).
 	Load LoadConfig
-	// Part sizes the partition study's nemesis (partition windows, gray
-	// links, clock skew and the Spanner uncertainty bound).
+	// Part selects the partition study's optional broken arms.
 	Part PartitionConfig
 	// Sketch switches measurement to bounded-memory recorders (fleet runs
 	// enable it; everything else defaults to exact).
@@ -310,7 +257,7 @@ func DefaultSafetyStudyConfig() StudyConfig {
 		TraceRate: 1,
 		Ops:       PlatformOps{Spanner: 400, BigTable: 400, BigQuery: 24},
 		Faults:    defaultFaults(),
-		Check:     CheckConfig{Seeds: 5, HotRows: 8},
+		Check:     CheckConfig{Seeds: 5},
 	}
 }
 
@@ -352,56 +299,32 @@ func DefaultPartitionStudyConfig() StudyConfig {
 		Clients:   6,
 		TraceRate: 1,
 		Ops:       PlatformOps{Spanner: 400, BigTable: 400, BigQuery: 24},
-		Check:     CheckConfig{Seeds: 2, HotRows: 8},
+		Check:     CheckConfig{Seeds: 2},
 		Faults: FaultConfig{
 			MTBFFrac:        1.0,
 			MTTRFrac:        0.03,
 			StragglerProb:   0.2,
 			StragglerFactor: 4,
 		},
-		Part: PartitionConfig{
-			MTBFFrac:      0.4,
-			MTTRFrac:      0.12,
-			GrayProb:      0.6,
-			GrayExtra:     300 * time.Microsecond,
-			GrayDrop:      0.05,
-			ClockSkewProb: 0.5,
-			ClockSkewMax:  700 * time.Microsecond,
-			ClockDriftMax: 1e-4,
-			ClockEps:      time.Millisecond,
-		},
 	}
 }
 
 // DefaultOverloadStudyConfig returns the overload-study defaults: open-loop
 // load each platform serves comfortably at baseline, a mid-run retry-storm
-// trigger (6x brownout plus a 4x flash crowd for 400ms), and
-// production-flavoured protections — bounded queues with CoDel expiry and
-// adaptive shedding, a 10-token retry budget, 5-failure circuit breakers, and
-// weighted tenant shares.
+// trigger of 400ms. The trigger's strength and the protected arm's controls
+// are fixed in overload.go.
 func DefaultOverloadStudyConfig() StudyConfig {
 	return StudyConfig{
 		Seed:      1,
 		Clients:   8,
 		TraceRate: 1,
 		Load: LoadConfig{
-			SpannerRate:     2000,
-			BigTableRate:    3500,
-			BigQueryRate:    30,
-			Duration:        2 * time.Second,
-			Window:          50 * time.Millisecond,
-			TriggerAt:       500 * time.Millisecond,
-			TriggerDur:      400 * time.Millisecond,
-			SlowFactor:      10,
-			FlashMult:       4,
-			MaxQueue:        64,
-			Target:          2 * time.Millisecond,
-			Interval:        5 * time.Millisecond,
-			ShedStartFrac:   0.7,
-			RetryBudget:     10,
-			BreakerFailures: 5,
-			BreakerCooldown: 25 * time.Millisecond,
-			QoSCapacity:     96,
+			SpannerRate:  2000,
+			BigTableRate: 3500,
+			BigQueryRate: 30,
+			Duration:     2 * time.Second,
+			TriggerAt:    500 * time.Millisecond,
+			TriggerDur:   400 * time.Millisecond,
 		},
 	}
 }
@@ -416,7 +339,7 @@ func DefaultPipelineStudyConfig() StudyConfig {
 		Seed:      1,
 		Clients:   4,
 		TraceRate: 1,
-		Check:     CheckConfig{Seeds: 2, HotRows: 8},
+		Check:     CheckConfig{Seeds: 2},
 		Faults: FaultConfig{
 			MTBFFrac:        0.6,
 			MTTRFrac:        0.08,
