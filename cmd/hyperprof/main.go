@@ -14,9 +14,11 @@
 //
 // All studies share one flag group that overlays the unified StudyConfig,
 // plus small per-study groups (-fleet-*, -records/-batches/-iterations).
-// Two flags modify a study rather than select one: -obs instruments it with
-// the observability plane, and -check adds the broken-knob demonstration
-// arms to -study=partition and -study=pipeline.
+// Two flags modify a study rather than select one: -obs instruments
+// -study=resilience, overload or pipeline with the observability plane
+// (-study=obs always has it on; the other studies reject it), and -check
+// adds the broken-knob demonstration arms to -study=partition and
+// -study=pipeline.
 //
 // Usage:
 //
@@ -75,7 +77,7 @@ func registerStudyFlags() *studyFlags {
 		rate:        flag.Int("rate", 0, "trace sampling rate, keep 1/rate (0 = study default)"),
 		parallel:    flag.Int("parallel", 0, "concurrent simulation kernels (0 = one per CPU, 1 = sequential); outputs are identical either way"),
 		checkSeeds:  flag.Int("check-seeds", 0, "with -study=safety, partition or pipeline: faulted seeds per platform (0 = study default)"),
-		obs:         flag.Bool("obs", false, "enable the observability plane (sim-clock metrics + continuous profiling) for the selected study"),
+		obs:         flag.Bool("obs", false, "enable the observability plane (sim-clock metrics + continuous profiling) for -study=resilience, overload or pipeline"),
 		obsInterval: flag.Duration("obs-interval", 0, "virtual-time metrics sampling period (0 = study default)"),
 		obsOut:      flag.String("obs-out", "obs-series.json", "with -obs: write the metric time series as JSON to this file"),
 		burst:       flag.Bool("burst", false, "shape arrivals/think times with self-similar Pareto on-off bursts (overload and resilience studies)"),
@@ -178,6 +180,15 @@ func main() {
 				log.Fatal(err)
 			}
 		}()
+	}
+
+	if *sf.obs || *sf.obsInterval != 0 {
+		switch *studySel {
+		case "char":
+			log.Fatal("-obs and -obs-interval do not apply to -study=char, which writes no metric series; use -study=obs, the characterization workload with the metrics plane on")
+		case "safety", "partition", "fleet":
+			log.Fatalf("-obs and -obs-interval do not apply to -study=%s, whose arms run without the observability plane", *studySel)
+		}
 	}
 
 	switch *studySel {
