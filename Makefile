@@ -54,7 +54,11 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
+# check-safety first cross-checks the linearizability and external-consistency
+# checkers against brute-force oracles on seeded random histories (a clean
+# verdict is only as good as the checker behind it), then runs the torture.
 check-safety:
+	$(GO) test ./internal/check/ -run 'MatchesBruteForceOracle'
 	$(GO) run ./cmd/hyperprof -study=safety -check-seeds $(SAFETY_SEEDS)
 
 # check-obs proves the observability plane: unit tests with zero-allocation
