@@ -121,9 +121,13 @@ check-fleet:
 # broken-handoff fixture convicted, the handoff ledger's 0-alloc hot-path
 # pin, and an end-to-end -study=pipeline -check run (nonzero exit on any
 # honest-arm violation or an unconvicted broken arm) emitting the Chrome
-# export whose spans cross all three platform processes.
+# export whose spans cross all three platform processes. It also builds one
+# BigTable config from several goroutines at once under -race, ten times:
+# the base-SSTable size memo is the one state deployments (and so pipeline's
+# parallel arms) share.
 check-pipeline:
 	$(GO) test -short ./internal/experiments/ -run 'TestPipeline'
+	$(GO) test -race -count=10 ./internal/bigtable/ -run TestBaseSizeMemoConcurrentNew
 	$(GO) test ./internal/workload/ -run TestClosedLoopShapeDeterministicAndDistinct \
 		-bench BenchmarkPipelineHandoff -benchtime 100000x -benchmem
 	$(GO) run ./cmd/hyperprof -study=pipeline -check -check-seeds $(PIPELINE_SEEDS) \

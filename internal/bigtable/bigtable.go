@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"hyperprof/internal/bloom"
@@ -183,32 +184,82 @@ type sealScratch struct {
 	raw  []byte
 }
 
+// sealSizes is a sealed SSTable's on-DFS and logical size.
+type sealSizes struct{ bytes, raw int64 }
+
 // seal finalizes an sstable: it builds the Bloom filter over its keys and
-// sizes the DFS file as the real codec's block compression of its sorted
-// contents. Only the compressed size is kept, so the codec runs size-only
-// and the concatenated block lives in the reused scratch buffer.
+// sizes the DFS file (see sizeOf).
 func (s *sstable) seal(sc *sealScratch) {
+	s.buildFilter()
+	sz := sizeOf(s.data, sc)
+	s.bytes, s.rawBytes = sz.bytes, sz.raw
+}
+
+// buildFilter builds the table's Bloom filter. Adding keys is
+// order-independent, so map order cannot show in the filter.
+func (s *sstable) buildFilter() {
 	s.filter = bloom.New(len(s.data)+1, 0.01)
+	for k := range s.data {
+		s.filter.Add(k)
+	}
+}
+
+// sizeOf sizes an SSTable holding data as the real codec's block
+// compression of its sorted contents. Only the compressed size is kept, so
+// the codec runs size-only and the concatenated block lives in the reused
+// scratch buffer.
+func sizeOf(data map[string][]byte, sc *sealScratch) sealSizes {
 	keys := sc.keys[:0]
 	size := 0
-	for k, v := range s.data {
+	for k, v := range data {
 		keys = append(keys, k)
 		size += len(k) + len(v)
 	}
 	slices.Sort(keys)
 	raw := slices.Grow(sc.raw[:0], size)
 	for _, k := range keys {
-		s.filter.Add(k)
 		raw = append(raw, k...)
-		raw = append(raw, s.data[k]...)
+		raw = append(raw, data[k]...)
 	}
 	sc.keys, sc.raw = keys, raw
-	s.rawBytes = int64(len(raw))
 	n := compress.EncodedLen(raw)
 	if n < 0 {
 		panic(fmt.Sprintf("bigtable: seal: block of %d bytes exceeds the codec limit", len(raw)))
 	}
-	s.bytes = max(int64(n), 1)
+	return sealSizes{bytes: max(int64(n), 1), raw: int64(len(raw))}
+}
+
+// baseKey names a base SSTable's contents: tablet t's bootstrap rows at a
+// row count and value size. Nothing else enters them.
+type baseKey struct {
+	tablet, rows int
+	valueBytes   int64
+}
+
+// baseSizes memoizes base-SSTable sizes across the deployments of one
+// process — the package's only mutable package-level state. Sizing is a
+// pure function of the key, so a hit is exactly what sealing would compute;
+// entries are 16 bytes of sizes and never table data, so no slab, row map
+// or filter outlives its deployment.
+var baseSizes = struct {
+	sync.Mutex
+	m map[baseKey]sealSizes
+}{m: map[baseKey]sealSizes{}}
+
+// baseSize returns the sizes of the base SSTable key names, sizing data
+// only on the key's first use. The lock is not held while sizing, so
+// concurrent first uses may both size; they store the same value.
+func baseSize(key baseKey, data map[string][]byte, sc *sealScratch) sealSizes {
+	baseSizes.Lock()
+	sz, ok := baseSizes.m[key]
+	baseSizes.Unlock()
+	if !ok {
+		sz = sizeOf(data, sc)
+		baseSizes.Lock()
+		baseSizes.m[key] = sz
+		baseSizes.Unlock()
+	}
+	return sz
 }
 
 // logRec is one commit-log record: a sequenced mutation that survives a
@@ -393,7 +444,11 @@ func (db *DB) load() error {
 			bootstrapValue(val, t, i)
 			base.data[rowKey(t, i)] = val
 		}
-		base.seal(&db.sealBuf)
+		// Sealing a base table skips the sizing pass once any deployment
+		// in the process has sized the same one.
+		base.buildFilter()
+		sz := baseSize(baseKey{t, db.cfg.RowsPerTablet, db.cfg.ValueBytes}, base.data, &db.sealBuf)
+		base.bytes, base.rawBytes = sz.bytes, sz.raw
 		if _, err := db.dfs.Create(base.file, base.bytes); err != nil {
 			return err
 		}
@@ -547,7 +602,7 @@ func (db *DB) get(p *sim.Proc, tr *trace.Trace, t, row int) ([]byte, error) {
 		if s.bytes > 16<<10 {
 			blockOff = int64(db.rng.Intn(int(s.bytes>>14))) << 14
 		}
-		blockLen := min64(16<<10, s.bytes)
+		blockLen := min(16<<10, s.bytes)
 		d, _, err := db.dfs.Read(s.file, blockOff, blockLen)
 		if err != nil {
 			return nil, err
@@ -645,7 +700,7 @@ func (db *DB) Scan(p *sim.Proc, tr *trace.Trace, t, start int) (int, error) {
 	if off+scanBytes > base.bytes {
 		off = 0
 	}
-	d, _, err := db.dfs.Read(base.file, off, min64(scanBytes, base.bytes))
+	d, _, err := db.dfs.Read(base.file, off, min(scanBytes, base.bytes))
 	if err != nil {
 		return 0, err
 	}
@@ -820,13 +875,6 @@ func (db *DB) major(tab *tablet) {
 		tab.compacting.Fire()
 		tab.compacting = nil
 	})
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // logServer returns the chunkserver holding the tablet's commit log,

@@ -11,9 +11,6 @@ import (
 	"hyperprof/internal/sim"
 )
 
-// sealSizes is one SSTable's on-DFS and logical size.
-type sealSizes struct{ bytes, raw int64 }
-
 func tableSizes(ssts []*sstable) []sealSizes {
 	out := make([]sealSizes, len(ssts))
 	for i, s := range ssts {

@@ -107,6 +107,10 @@ type DB struct {
 	rng    *stats.RNG
 	zipf   *stats.Zipf
 	client *netsim.Client
+	// ramp backs every virtual bootstrap row: ramp[i] = byte(i) over
+	// 256 + RowBytes bytes, so each row is a capped window of it (see
+	// bootstrapValue).
+	ramp []byte
 
 	// rec, when non-nil, records every Read/Commit into an operation history
 	// for the safety checker (see safety.go).
@@ -233,6 +237,10 @@ func New(env *platform.Env, cfg Config) (*DB, error) {
 		mgr:   mgr,
 		taxes: platform.TaxTablesFor(taxonomy.Spanner),
 		rng:   stats.NewRNG(cfg.Seed),
+		ramp:  make([]byte, 256+cfg.RowBytes),
+	}
+	for i := range db.ramp {
+		db.ramp[i] = byte(i)
 	}
 	db.zipf = stats.NewZipf(db.rng.Fork(), cfg.RowsPerGroup, 1.1)
 	// The RPC client seed is derived from the config seed without touching
@@ -356,27 +364,38 @@ func (db *DB) place() error {
 
 // load bootstraps the replica stores with the initial row objects (outside
 // simulated time). Bootstrap row *contents* are virtual — bootstrapValue
-// computes them on demand — so memory scales with written rows only.
+// serves them from a shared ramp — so memory scales with written rows only.
+// Each store gets its rows in one Preload, in the (group, row) order a
+// per-row Write loop would have used.
 func (db *DB) load() {
+	var stores []*storage.TieredStore
+	keysOf := map[*storage.TieredStore][]string{}
 	for _, g := range db.groups {
-		for i := 0; i < db.cfg.RowsPerGroup; i++ {
-			key := rowKey(g.id, i)
-			for _, rep := range g.replicas {
-				if _, err := rep.machine.Store.Write(key, db.cfg.RowBytes); err != nil {
-					panic(fmt.Sprintf("spanner: bootstrap overflow: %v", err))
-				}
+		keys := make([]string, db.cfg.RowsPerGroup)
+		for i := range keys {
+			keys[i] = rowKey(g.id, i)
+		}
+		for _, rep := range g.replicas {
+			st := rep.machine.Store
+			if _, ok := keysOf[st]; !ok {
+				stores = append(stores, st)
 			}
+			keysOf[st] = append(keysOf[st], keys...)
+		}
+	}
+	for _, st := range stores {
+		if err := st.Preload(keysOf[st], db.cfg.RowBytes); err != nil {
+			panic(fmt.Sprintf("spanner: bootstrap overflow: %v", err))
 		}
 	}
 }
 
-// bootstrapValue returns the deterministic initial content of a row.
+// bootstrapValue returns the deterministic initial content of a row, byte j
+// being byte(7g + 13row + j). It is a capped window of the shared ramp, so
+// it allocates nothing and callers must not write into it.
 func (db *DB) bootstrapValue(g, row int) []byte {
-	val := make([]byte, db.cfg.RowBytes)
-	for j := range val {
-		val[j] = byte(uint64(g)*7 + uint64(row)*13 + uint64(j))
-	}
-	return val
+	c := int64(byte(uint64(g)*7 + uint64(row)*13))
+	return db.ramp[c : c+db.cfg.RowBytes : c+db.cfg.RowBytes]
 }
 
 // lookupRow resolves a row through a replica's applied state, falling back
@@ -391,14 +410,19 @@ func (db *DB) lookupRow(rep *replica, g, row int) ([]byte, error) {
 	return db.bootstrapValue(g, row), nil
 }
 
-// rowKey names row `row` of group g: "g<group>/r<row>".
+// rowKey names row `row` of group g: "g<group>/r<row>". It is small enough
+// to inline, so a key used only for a map probe stays on the stack.
 func rowKey(group, row int) string {
 	var buf [24]byte
-	b := append(buf[:0], 'g')
+	return string(appendRowKey(buf[:0], group, row))
+}
+
+// appendRowKey appends rowKey(group, row) to b.
+func appendRowKey(b []byte, group, row int) []byte {
+	b = append(b, 'g')
 	b = strconv.AppendInt(b, int64(group), 10)
 	b = append(b, "/r"...)
-	b = strconv.AppendInt(b, int64(row), 10)
-	return string(b)
+	return strconv.AppendInt(b, int64(row), 10)
 }
 
 // NumGroups returns the number of tablet groups.

@@ -63,6 +63,43 @@ func (c *lruCache) Add(key string, size int64) {
 	}
 }
 
+// addAll is Add(key, size) for each key in order, for keys all absent from
+// the cache (the caller guarantees it). It creates only the entries that
+// survive: the kept set is the longest head prefix of [keys newest-first,
+// then the current list] that fits the capacity, and the new entries share
+// one slab.
+func (c *lruCache) addAll(keys []string, size int64) {
+	if size > c.capacity || len(keys) == 0 {
+		return
+	}
+	fit := len(keys)
+	if size > 0 {
+		fit = int(min(int64(fit), c.capacity/size))
+	}
+	if fit < len(keys) {
+		// The newest fit keys alone fill the cache: every older entry,
+		// resident or new, is evicted on the way.
+		for c.tail != nil {
+			c.remove(c.tail)
+		}
+		keys = keys[len(keys)-fit:]
+	}
+	for c.tail != nil && c.used+int64(len(keys))*size > c.capacity {
+		c.remove(c.tail)
+	}
+	if len(c.entries) == 0 {
+		c.entries = make(map[string]*lruEntry, len(keys))
+	}
+	slab := make([]lruEntry, len(keys))
+	for i, k := range keys {
+		e := &slab[i]
+		e.key, e.size = k, size
+		c.entries[k] = e
+		c.pushFront(e)
+	}
+	c.used += int64(len(keys)) * size
+}
+
 // Remove deletes key if present.
 func (c *lruCache) Remove(key string) {
 	if e, ok := c.entries[key]; ok {

@@ -187,6 +187,58 @@ func (s *TieredStore) Write(key string, size int64) (time.Duration, error) {
 	return s.params[RAM].AccessTime(size), nil
 }
 
+// Preload stores every key at the given size, for bootstrap. It leaves the
+// store exactly as Write(key, size) for each key in order would: objects,
+// HDD usage, both caches' contents, recency order and usage, and the RAM
+// and HDD write stats, including the ErrFull return once HDD backing runs
+// out (the keys before it stay written). Only the cache entries that
+// survive are created. The keys must be distinct and absent from the
+// store, and the store must use LRUPolicy; otherwise Preload changes
+// nothing and returns an error.
+func (s *TieredStore) Preload(keys []string, size int64) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	if s.sketch != nil {
+		return errors.New("storage: Preload needs the LRU policy")
+	}
+	if size < 0 {
+		return fmt.Errorf("storage: negative size %d", size)
+	}
+	if len(s.objects) == 0 {
+		s.objects = make(map[string]int64, len(keys))
+	}
+	for i, k := range keys {
+		if _, ok := s.objects[k]; ok {
+			for _, prev := range keys[:i] {
+				delete(s.objects, prev)
+			}
+			return fmt.Errorf("storage: Preload of a present or repeated key %q", k)
+		}
+		s.objects[k] = size
+	}
+	n := len(keys)
+	if size > 0 {
+		n = int(min(int64(n), (s.hddCap-s.hddUsed)/size))
+	}
+	for _, k := range keys[n:] {
+		delete(s.objects, k)
+	}
+	kept := keys[:n]
+	s.hddUsed += int64(n) * size
+	s.ram.addAll(kept, size)
+	s.ssd.addAll(kept, size)
+	for _, t := range [...]Tier{RAM, HDD} {
+		st := s.stats[t]
+		st.Writes += int64(n)
+		st.BytesWrit += int64(n) * size
+	}
+	if n < len(keys) {
+		return fmt.Errorf("%w: need %d bytes", ErrFull, size)
+	}
+	return nil
+}
+
 // Delete removes an object from backing store and caches.
 func (s *TieredStore) Delete(key string) {
 	if size, ok := s.objects[key]; ok {
