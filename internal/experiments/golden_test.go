@@ -17,6 +17,7 @@ import (
 
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
+	"hyperprof/internal/workload"
 )
 
 // goldenPath holds one "<study> <sha256>" line per study export.
@@ -52,31 +53,8 @@ var goldenExports = map[string]func(t *testing.T) []byte{
 		}
 		return buf.Bytes()
 	},
-	"resilience": func(t *testing.T) []byte {
-		cfg := DefaultResilienceStudyConfig()
-		cfg.Ops = PlatformOps{Spanner: 100, BigTable: 100, BigQuery: 12}
-		cfg.Obs.Enabled = true
-		r, err := cfg.Resilience()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		buf.WriteString(RenderResilience(r))
-		for _, p := range taxonomy.Platforms() {
-			chrome, err := trace.ExportChrome(r.Traces[p], 2000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf.Write(chrome)
-			fmt.Fprintf(&buf, "%s marks: %+v\n", p, r.Marks[p])
-		}
-		series, err := MarshalPlatformSeries(r.Series)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(series)
-		return buf.Bytes()
-	},
+	"resilience":        func(t *testing.T) []byte { return goldenResilience(t, workload.ArrivalShape{}) },
+	"resilience-shaped": func(t *testing.T) []byte { return goldenResilience(t, shapedGolden) },
 	"obs": func(t *testing.T) []byte {
 		cfg := DefaultObsStudyConfig()
 		cfg.Ops = PlatformOps{Spanner: 100, BigTable: 100, BigQuery: 12}
@@ -96,24 +74,8 @@ var goldenExports = map[string]func(t *testing.T) []byte{
 		}
 		return append(append(data, chrome...), RenderObs(o)...)
 	},
-	"overload": func(t *testing.T) []byte {
-		cfg := DefaultOverloadStudyConfig()
-		cfg.Load.Duration = 600 * time.Millisecond
-		cfg.Load.TriggerAt = 200 * time.Millisecond
-		cfg.Load.TriggerDur = 120 * time.Millisecond
-		cfg.Load.SpannerRate = 800
-		cfg.Load.BigTableRate = 1200
-		cfg.Load.BigQueryRate = 40
-		o, err := cfg.Overload()
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc, err := o.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(doc, RenderOverload(o)...)
-	},
+	"overload":        func(t *testing.T) []byte { return goldenOverload(t, workload.ArrivalShape{}) },
+	"overload-shaped": func(t *testing.T) []byte { return goldenOverload(t, shapedGolden) },
 	"partition": func(t *testing.T) []byte {
 		cfg := DefaultPartitionStudyConfig()
 		cfg.Check.Seeds = 1
@@ -136,22 +98,8 @@ var goldenExports = map[string]func(t *testing.T) []byte{
 		}
 		return buf.Bytes()
 	},
-	"fleet": func(t *testing.T) []byte {
-		cfg := DefaultFleetStudyConfig()
-		cfg.Fleet.Servers = 60
-		cfg.Fleet.Users = 10_000
-		cfg.Fleet.Ops = 900
-		cfg.Fleet.Duration = 500 * time.Millisecond
-		st, err := cfg.FleetScale()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := MarshalFleet(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	},
+	"fleet":        func(t *testing.T) []byte { return goldenFleet(t, workload.ArrivalShape{}) },
+	"fleet-shaped": func(t *testing.T) []byte { return goldenFleet(t, shapedGolden) },
 	"pipeline": func(t *testing.T) []byte {
 		cfg := DefaultPipelineStudyConfig()
 		cfg.Pipe = PipelineConfig{Records: 12, Batches: 3, Iterations: 2, IncludeBroken: true}
@@ -173,6 +121,79 @@ var goldenExports = map[string]func(t *testing.T) []byte{
 		}
 		return append(data, RenderLatency(points)...)
 	},
+}
+
+// shapedGolden is the arrival shape of the "-shaped" golden entries: bursts
+// and the diurnal swing together, so the envelope's draw order is pinned.
+var shapedGolden = workload.ArrivalShape{Burst: true, Diurnal: true}
+
+// goldenResilience is the resilience export at the golden sizes under shape.
+func goldenResilience(t *testing.T, shape workload.ArrivalShape) []byte {
+	cfg := DefaultResilienceStudyConfig()
+	cfg.Ops = PlatformOps{Spanner: 100, BigTable: 100, BigQuery: 12}
+	cfg.Obs.Enabled = true
+	cfg.Shape = shape
+	r, err := cfg.Resilience()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.WriteString(RenderResilience(r))
+	for _, p := range taxonomy.Platforms() {
+		chrome, err := trace.ExportChrome(r.Traces[p], 2000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(chrome)
+		fmt.Fprintf(&buf, "%s marks: %+v\n", p, r.Marks[p])
+	}
+	series, err := MarshalPlatformSeries(r.Series)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(series)
+	return buf.Bytes()
+}
+
+// goldenOverload is the overload export at the golden sizes under shape.
+func goldenOverload(t *testing.T, shape workload.ArrivalShape) []byte {
+	cfg := DefaultOverloadStudyConfig()
+	cfg.Load.Duration = 600 * time.Millisecond
+	cfg.Load.TriggerAt = 200 * time.Millisecond
+	cfg.Load.TriggerDur = 120 * time.Millisecond
+	cfg.Load.SpannerRate = 800
+	cfg.Load.BigTableRate = 1200
+	cfg.Load.BigQueryRate = 40
+	cfg.Shape = shape
+	o, err := cfg.Overload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := o.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(doc, RenderOverload(o)...)
+}
+
+// goldenFleet is the fleet export at the golden sizes under shape; the CLI
+// has no flag for Fleet.Shape, so this is the only pin of shaped fleet runs.
+func goldenFleet(t *testing.T, shape workload.ArrivalShape) []byte {
+	cfg := DefaultFleetStudyConfig()
+	cfg.Fleet.Servers = 60
+	cfg.Fleet.Users = 10_000
+	cfg.Fleet.Ops = 900
+	cfg.Fleet.Duration = 500 * time.Millisecond
+	cfg.Fleet.Shape = shape
+	st, err := cfg.FleetScale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := MarshalFleet(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestGoldenExportDigests pins every study's canonical export across commits:
