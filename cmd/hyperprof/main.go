@@ -18,7 +18,8 @@
 // -study=resilience, overload or pipeline with the observability plane
 // (-study=obs always has it on; the other studies reject it), and -check
 // adds the broken-knob demonstration arms to -study=partition and
-// -study=pipeline.
+// -study=pipeline. -burst and -diurnal shape the arrivals of
+// -study=resilience and overload; the other studies reject them.
 //
 // Usage:
 //
@@ -190,6 +191,12 @@ func main() {
 			log.Fatalf("-obs and -obs-interval do not apply to -study=%s, whose arms run without the observability plane", *studySel)
 		}
 	}
+	if *sf.burst || *sf.diurnal {
+		switch *studySel {
+		case "char", "obs", "safety", "partition", "fleet", "pipeline":
+			log.Fatalf("-burst and -diurnal do not apply to -study=%s, which runs unshaped; only -study=resilience and -study=overload shape their arrivals", *studySel)
+		}
+	}
 
 	switch *studySel {
 	case "fleet":
@@ -304,7 +311,7 @@ func runCharacterize(cfg hyperprof.StudyConfig, jsonOut bool, chromeOut string, 
 // with the metrics plane on, exported as JSON time series and (with
 // -chrome-trace) counter tracks beside the query intervals.
 func runObserve(cfg hyperprof.StudyConfig, chromeOut, obsOut string) {
-	o, err := hyperprof.Observe(cfg)
+	o, err := cfg.Observe()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -418,7 +425,7 @@ func runPartition(cfg hyperprof.StudyConfig, jsonOut bool, chromeOut string) {
 // the broken-handoff demonstration arm must be convicted by the
 // exactly-once checker or the process also exits nonzero.
 func runPipeline(cfg hyperprof.StudyConfig, jsonOut bool, chromeOut string) {
-	s, err := hyperprof.Pipeline(cfg)
+	s, err := cfg.Pipeline()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -443,7 +450,7 @@ func runPipeline(cfg hyperprof.StudyConfig, jsonOut bool, chromeOut string) {
 // the coordinator's post-run live heap stays under a ceiling — the CI
 // check-fleet gate's bounded-memory guarantee.
 func runFleet(cfg hyperprof.StudyConfig, jsonOut bool, heapCeilingMB int) {
-	st, err := hyperprof.FleetScale(cfg)
+	st, err := cfg.FleetScale()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -465,7 +472,7 @@ func runFleet(cfg hyperprof.StudyConfig, jsonOut bool, heapCeilingMB int) {
 // comparison (or the machine-readable export with -json). With -obs, the
 // protected arms' metric time series are written beside it.
 func runOverload(cfg hyperprof.StudyConfig, jsonOut bool, obsOut string) {
-	o, err := hyperprof.OverloadControl(cfg)
+	o, err := cfg.Overload()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func main() {
 	cfg.Ops.BigTable = *bigtableQ
 	cfg.Ops.BigQuery = *bigqueryQ
 
-	ch, err := hyperprof.Characterize(cfg)
+	ch, err := cfg.Characterize()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func main() {
 	cfg.Ops.Spanner = 50 // minimal; this example focuses on BigQuery
 	cfg.Ops.BigTable = 50
 	cfg.Ops.BigQuery = 200
-	ch, err := hyperprof.Characterize(cfg)
+	ch, err := cfg.Characterize()
 	if err != nil {
 		log.Fatal(err)
 	}

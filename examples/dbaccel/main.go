@@ -21,7 +21,7 @@ func main() {
 	cfg.Ops.Spanner = 1200
 	cfg.Ops.BigTable = 50 // minimal; this example focuses on Spanner
 	cfg.Ops.BigQuery = 20
-	ch, err := hyperprof.Characterize(cfg)
+	ch, err := cfg.Characterize()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func main() {
 	cfg.Ops.Spanner = 1000
 	cfg.Ops.BigTable = 50
 	cfg.Ops.BigQuery = 60
-	ch, err := hyperprof.Characterize(cfg)
+	ch, err := cfg.Characterize()
 	if err != nil {
 		log.Fatal(err)
 	}

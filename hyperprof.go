@@ -8,9 +8,10 @@
 // This package is the public facade: it re-exports the library's primary
 // entry points so downstream users never import internal packages.
 //
-//   - Characterize runs the three platform simulations under calibrated
-//     workloads and yields every §3–§5 table and figure (Table 1, Figures
-//     2–6, Tables 6–7).
+//   - StudyConfig runs every study through its method entry point; its
+//     Characterize method runs the three platform simulations under
+//     calibrated workloads and yields every §3–§5 table and figure (Table
+//     1, Figures 2–6, Tables 6–7).
 //   - System / Component is the analytical model; DeriveSystem extracts a
 //     model instance from a characterization.
 //   - Figure9..Figure15 run the §6 limit studies.
@@ -33,8 +34,9 @@ import (
 // construct one with a Default*StudyConfig helper, adjust the grouped knobs
 // (Ops, Faults, Check.Seeds, Obs, Load, Part.IncludeBroken, Pipe, Shape),
 // and call the study's method entry point — Characterize, Safety,
-// Resilience, Observe, Overload, Partition, FleetScale or Pipeline. It is the only way in: the legacy
-// per-study config types and Run* wrappers have been deleted.
+// Resilience, Observe, Overload, Partition, FleetScale, Pipeline or Latency.
+// The methods are the only way in: the package exports no function form of
+// a study.
 type (
 	// StudyConfig is the unified study configuration.
 	StudyConfig = experiments.StudyConfig
@@ -105,13 +107,6 @@ type (
 	PipelineRow = experiments.PipelineRow
 )
 
-// Pipeline runs the cross-platform pipeline study. Equal configs replay
-// bit-identically; the JSON and Chrome exports are byte-identical between
-// sequential and parallel runs and across execution backends.
-func Pipeline(cfg StudyConfig) (*PipelineStudy, error) {
-	return cfg.Pipeline()
-}
-
 // RenderPipeline renders the pipeline study as a fixed-width table with the
 // per-stage §4.1 breakdown and the handoff verdict.
 var RenderPipeline = experiments.RenderPipeline
@@ -131,13 +126,6 @@ type (
 	// FleetConfig sizes the fleet-scale characterization.
 	FleetConfig = experiments.FleetConfig
 )
-
-// FleetScale runs the fleet-scale characterization. Equal seeds and sizing
-// yield byte-identical MarshalFleet artifacts across sequential, parallel
-// and all execution backends.
-func FleetScale(cfg StudyConfig) (*FleetStudy, error) {
-	return cfg.FleetScale()
-}
 
 // MarshalFleet renders the canonical fleet artifact (execution knobs and
 // measured heap excluded); RenderFleet the human-readable table.
@@ -177,13 +165,6 @@ type (
 	TenantOverload = experiments.TenantOverload
 )
 
-// OverloadControl runs the overload study. Equal configs replay
-// bit-identically; the JSON export and rendered table are byte-identical
-// between sequential and parallel runs.
-func OverloadControl(cfg StudyConfig) (*OverloadStudy, error) {
-	return cfg.Overload()
-}
-
 // RenderOverload renders the overload study as a fixed-width table with the
 // naive-vs-protected recovery comparison.
 var RenderOverload = experiments.RenderOverload
@@ -198,14 +179,6 @@ type (
 	// MetricPoint is one (virtual time, value) sample.
 	MetricPoint = obs.Point
 )
-
-// Observe runs the observability study: a characterization with the metrics
-// plane forced on, yielding per-platform time series exportable as JSON or
-// Chrome-trace counter tracks. Equal configs replay bit-identically and the
-// exports are byte-identical between sequential and parallel runs.
-func Observe(cfg StudyConfig) (*ObsStudy, error) {
-	return cfg.Observe()
-}
 
 // RenderObs renders a per-platform summary of an observability study.
 var RenderObs = experiments.RenderObs
@@ -278,12 +251,6 @@ func Invocations() []Invocation { return model.Invocations() }
 
 // Characterization is a completed profiling run over the three platforms.
 type Characterization = experiments.Characterization
-
-// Characterize runs the full characterization (the paper's "representative
-// day" of traces and profiles).
-func Characterize(cfg StudyConfig) (*Characterization, error) {
-	return cfg.Characterize()
-}
 
 // Characterization artifacts (§3–§5).
 var (
@@ -376,13 +343,6 @@ var (
 // study.
 type LatencyPoint = experiments.LatencyPoint
 
-// LatencyStudy measures p50/p99 latency versus offered load on the Spanner
-// simulation (open-loop Poisson arrivals), honouring the config's Parallel
-// and Backend knobs.
-func LatencyStudy(cfg StudyConfig, rates []float64, opsPerPoint int) ([]LatencyPoint, error) {
-	return cfg.Latency(rates, opsPerPoint)
-}
-
 // Report is the machine-readable form of the full characterization study.
 type Report = experiments.Report
 
@@ -404,12 +364,6 @@ type (
 	TraceMark = trace.Mark
 )
 
-// ResilienceStudy runs the fault-injection study. Equal configs replay
-// bit-identically.
-func ResilienceStudy(cfg StudyConfig) (*Resilience, error) {
-	return cfg.Resilience()
-}
-
 // RenderResilience renders the study as a fixed-width comparison table.
 var RenderResilience = experiments.RenderResilience
 
@@ -428,13 +382,6 @@ type (
 	// SafetyViolation is one checker finding with its reproducing seed.
 	SafetyViolation = experiments.SafetyViolation
 )
-
-// SafetyStudy runs the torture study. Equal configs replay bit-identically;
-// any violation is reported with the seed that reproduces it and the minimal
-// violating subhistory.
-func SafetyStudy(cfg StudyConfig) (*Safety, error) {
-	return cfg.Safety()
-}
 
 // RenderSafety renders the study as a fixed-width table followed by every
 // violation in full.

@@ -11,7 +11,7 @@ import (
 func TestFacadeEndToEnd(t *testing.T) {
 	cfg := DefaultCharStudyConfig()
 	cfg.Ops = PlatformOps{Spanner: 300, BigTable: 300, BigQuery: 40}
-	ch, err := Characterize(cfg)
+	ch, err := cfg.Characterize()
 	if err != nil {
 		t.Fatal(err)
 	}

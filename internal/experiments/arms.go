@@ -16,14 +16,18 @@ import (
 	"hyperprof/internal/bigquery"
 	"hyperprof/internal/bigtable"
 	"hyperprof/internal/check"
+	"hyperprof/internal/cluster"
 	"hyperprof/internal/faults"
 	"hyperprof/internal/netsim"
+	"hyperprof/internal/obs"
 	"hyperprof/internal/platform"
 	"hyperprof/internal/sim"
 	"hyperprof/internal/spanner"
 	"hyperprof/internal/stats"
+	"hyperprof/internal/storage"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
+	"hyperprof/internal/workload"
 )
 
 // newPlatformEnv builds platform p's environment: Spanner gets its
@@ -64,6 +68,87 @@ func resilienceRPCPolicy() netsim.Policy {
 		BackoffBase: 200 * time.Microsecond,
 		BackoffMax:  2 * time.Millisecond,
 	}
+}
+
+// closedLoopArm is one platform's finished closed-loop run.
+type closedLoopArm struct {
+	env *platform.Env
+	run *workload.Run
+	// eng has the platform's fault targets registered; it injected a
+	// schedule only if the arm ran with a horizon.
+	eng *faults.Engine
+	// elapsed is the instant the workload drained; end is the kernel's final
+	// time, which recovery events may push past it.
+	elapsed, end time.Duration
+	// machines are the platform's server machines and dfs its distributed
+	// file system (nil on Spanner, whose replicas keep their own stores).
+	machines []*cluster.Machine
+	dfs      *storage.DFS
+}
+
+// runClosedLoop is the one closed-loop platform arm, shared by the
+// characterization and the resilience study: it builds platform p on its
+// offset seed with rpc as the client policy of Spanner's consensus and
+// BigQuery's shuffle RPCs, drives the platform's calibrated mix over
+// cfg.Clients clients with think times shaped by cfg.Shape, and runs the
+// simulation to the end. A zero horizon runs fault-free; a positive horizon
+// injects a crash and straggler schedule spanning it over the platform's
+// crash targets (one replica per Spanner group; BigTable's cannot
+// straggle) and network brown-outs.
+// The arm builds its own environment and kernel and touches no study
+// state, so distinct platforms may run concurrently.
+func runClosedLoop(cfg StudyConfig, p taxonomy.Platform, rpc netsim.Policy, horizon time.Duration) (closedLoopArm, error) {
+	seed := cfg.Seed + platformOffset(p)
+	env := newPlatformEnv(p, seed, cfg.TraceRate, cfg.Obs)
+	a := closedLoopArm{env: env, eng: faults.NewEngine(env.K)}
+	opts := workload.ClosedLoopOpts{Shape: cfg.Shape}
+	// inject schedules the faulted arm's faults; it runs after the platform
+	// registers its targets and before the clients start.
+	inject := func(crash []string, stragglerProb float64) {
+		if horizon > 0 {
+			registerNetFaults(a.eng, env.Net, cfg.Seed)
+			a.eng.InjectAll(faults.GenerateSchedule(sorted(crash), cfg.Faults.schedule(horizon, seed, stragglerProb)))
+		}
+	}
+	switch p {
+	case taxonomy.Spanner:
+		scfg := spanner.DefaultConfig()
+		scfg.RPC = rpc
+		db, err := spanner.New(env, scfg)
+		if err != nil {
+			return a, err
+		}
+		db.RegisterFaultTargets(a.eng)
+		inject(db.CrashTargets(1), cfg.Faults.StragglerProb)
+		a.machines = db.Machines()
+		a.run = workload.Spanner(env, db, workload.DefaultSpannerMix(), cfg.Clients, cfg.Ops.Spanner, opts)
+	case taxonomy.BigTable:
+		db, err := bigtable.New(env, bigtable.DefaultConfig())
+		if err != nil {
+			return a, err
+		}
+		db.RegisterFaultTargets(a.eng)
+		inject(db.CrashTargets(), 0)
+		a.machines, a.dfs = db.Machines(), db.DFS()
+		a.run = workload.BigTable(env, db, workload.DefaultBigTableMix(), cfg.Clients, cfg.Ops.BigTable, opts)
+	case taxonomy.BigQuery:
+		qcfg := bigquery.DefaultConfig()
+		qcfg.RPC = rpc
+		e, err := bigquery.New(env, qcfg)
+		if err != nil {
+			return a, err
+		}
+		e.RegisterFaultTargets(a.eng)
+		inject(e.CrashTargets(), cfg.Faults.StragglerProb)
+		a.machines, a.dfs = e.Machines(), e.DFS()
+		a.run = workload.BigQuery(env, e, workload.DefaultBigQueryMix(), cfg.Clients, cfg.Ops.BigQuery, opts)
+	default:
+		return a, fmt.Errorf("experiments: unknown platform %q", p)
+	}
+	a.run.Done.OnFire(func() { a.elapsed = env.K.Now() })
+	obs.Start(env.K, env.Obs)
+	a.end = env.K.Run()
+	return a, nil
 }
 
 // schedule converts the fractional fault rates into an absolute schedule

@@ -11,13 +11,10 @@ import (
 	"fmt"
 	"time"
 
-	"hyperprof/internal/bigquery"
-	"hyperprof/internal/bigtable"
-	"hyperprof/internal/cluster"
+	"hyperprof/internal/netsim"
 	"hyperprof/internal/obs"
 	"hyperprof/internal/platform"
 	"hyperprof/internal/profile"
-	"hyperprof/internal/spanner"
 	"hyperprof/internal/storage"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
@@ -44,12 +41,9 @@ type Characterization struct {
 // the three platforms can run on concurrent goroutines and be merged into
 // the Characterization afterwards in fixed platform order.
 type platformRun struct {
-	env        *platform.Env
-	traces     []*trace.Trace
-	elapsed    time.Duration
+	closedLoopArm
 	queryBytes float64
 	stores     []*storage.TieredStore
-	series     []obs.Series
 }
 
 // Characterize builds all three platforms, drives their calibrated
@@ -82,11 +76,11 @@ func (cfg StudyConfig) Characterize() (*Characterization, error) {
 	for i, p := range platforms {
 		run := runs[i]
 		ch.Envs[p] = run.env
-		ch.Traces[p] = run.traces
-		ch.Elapsed[p] = run.elapsed
+		ch.Traces[p] = run.env.Tracer.Sampled()
+		ch.Elapsed[p] = run.end
 		ch.QueryBytes[p] = run.queryBytes
-		if run.series != nil {
-			ch.Series[p] = run.series
+		if series := run.env.Obs.Snapshot(); series != nil {
+			ch.Series[p] = series
 		}
 		for _, s := range run.stores {
 			ch.Inventory.AddStore(p, s)
@@ -96,52 +90,26 @@ func (cfg StudyConfig) Characterize() (*Characterization, error) {
 }
 
 // runChar drives one platform's calibrated closed-loop workload and keeps
-// its live state. Storage bytes read per query come from the replicas' own
-// stores on Spanner and from the DFS chunkservers on BigTable and BigQuery.
+// its live state. It runs the unshaped reference day: the zero client policy
+// and the zero arrival shape, with no faults. Storage bytes read per query
+// come from the replicas' own stores on Spanner and from the DFS
+// chunkservers on BigTable and BigQuery.
 func runChar(cfg StudyConfig, p taxonomy.Platform) (platformRun, error) {
-	env := newPlatformEnv(p, cfg.Seed+platformOffset(p), cfg.TraceRate, cfg.Obs)
-	var (
-		run      *workload.Run
-		machines []*cluster.Machine
-		dfs      *storage.DFS
-	)
-	switch p {
-	case taxonomy.Spanner:
-		db, err := spanner.New(env, spanner.DefaultConfig())
-		if err != nil {
-			return platformRun{}, err
-		}
-		run = workload.Spanner(env, db, workload.DefaultSpannerMix(), cfg.Clients, cfg.Ops.Spanner)
-		machines = db.Machines()
-	case taxonomy.BigTable:
-		db, err := bigtable.New(env, bigtable.DefaultConfig())
-		if err != nil {
-			return platformRun{}, err
-		}
-		run = workload.BigTable(env, db, workload.DefaultBigTableMix(), cfg.Clients, cfg.Ops.BigTable)
-		machines, dfs = db.Machines(), db.DFS()
-	case taxonomy.BigQuery:
-		e, err := bigquery.New(env, bigquery.DefaultConfig())
-		if err != nil {
-			return platformRun{}, err
-		}
-		run = workload.BigQuery(env, e, workload.DefaultBigQueryMix(), cfg.Clients, cfg.Ops.BigQuery)
-		machines, dfs = e.Machines(), e.DFS()
-	default:
-		return platformRun{}, fmt.Errorf("experiments: unknown platform %q", p)
+	cfg.Shape = workload.ArrivalShape{}
+	a, err := runClosedLoop(cfg, p, netsim.Policy{}, 0)
+	if err != nil {
+		return platformRun{}, err
 	}
-	env.Obs.Start(env.K)
-	end := env.K.Run()
-	if err := run.Err(); err != nil {
+	if err := a.run.Err(); err != nil {
 		return platformRun{}, fmt.Errorf("%s workload: %w", platformName(p), err)
 	}
-	out := platformRun{env: env, traces: env.Tracer.Sampled(), elapsed: end, series: env.Obs.Snapshot()}
-	for _, m := range machines {
+	out := platformRun{closedLoopArm: a}
+	for _, m := range a.machines {
 		out.stores = append(out.stores, m.Store)
 	}
 	read := out.stores
-	if dfs != nil {
-		read = dfs.Servers()
+	if a.dfs != nil {
+		read = a.dfs.Servers()
 		out.stores = append(out.stores, read...)
 	}
 	var bytesRead int64

@@ -326,7 +326,7 @@ func (o *Overload) runArm(p taxonomy.Platform, protected bool) (overloadArm, err
 			stop()
 		}
 	})
-	env.Obs.Start(env.K)
+	obs.Start(env.K, env.Obs)
 	env.K.Run()
 
 	postStart := l.Duration * 3 / 4

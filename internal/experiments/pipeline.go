@@ -197,8 +197,8 @@ func (u pipelineUnit) run(cfg StudyConfig) (pipelineArm, error) {
 	tracer := trace.NewTracer(cfg.TraceRate)
 	spEnv.Tracer, btEnv.Tracer, bqEnv.Tracer = tracer, tracer, tracer
 	// Each stage gets its own metrics registry (platform series names repeat
-	// across stages, and a registry rejects duplicates); one shared sampling
-	// tick below keeps the three registries on a common clock.
+	// across stages, and a registry rejects duplicates); one obs.Start below
+	// samples the three registries on one tick.
 	stages := []struct {
 		name string
 		env  *platform.Env
@@ -267,27 +267,7 @@ func (u pipelineUnit) run(cfg StudyConfig) (pipelineArm, error) {
 		p.Wait(run.Done)
 		elapsed = p.Now()
 	})
-	if len(regs) > 0 {
-		// One sampling tick drives every stage registry. The per-registry
-		// Start loop would deadlock termination here: each registry's pending
-		// tick keeps the others rescheduling forever. A single tick that
-		// stops when only it remains pending terminates with the workload.
-		interval := cfg.Obs.Interval
-		if interval <= 0 {
-			interval = obs.DefaultConfig().Interval
-		}
-		var tick func()
-		tick = func() {
-			t := k.Now()
-			for _, r := range regs {
-				r.SampleAt(t)
-			}
-			if k.PendingEvents() > 0 {
-				k.Schedule(interval, tick)
-			}
-		}
-		k.Schedule(0, tick)
-	}
+	obs.Start(k, regs...)
 	k.Run()
 
 	row := PipelineRow{

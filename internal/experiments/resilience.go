@@ -5,17 +5,11 @@ import (
 	"strings"
 	"time"
 
-	"hyperprof/internal/bigquery"
-	"hyperprof/internal/bigtable"
 	"hyperprof/internal/faults"
 	"hyperprof/internal/obs"
-	"hyperprof/internal/platform"
-	"hyperprof/internal/sim"
-	"hyperprof/internal/spanner"
 	"hyperprof/internal/stats"
 	"hyperprof/internal/taxonomy"
 	"hyperprof/internal/trace"
-	"hyperprof/internal/workload"
 )
 
 // ResilienceRow is one (platform, arm) measurement.
@@ -133,93 +127,32 @@ func (r *Resilience) Row(p taxonomy.Platform, faulted bool) *ResilienceRow {
 }
 
 // runResilienceArm runs one platform arm of the closed-loop characterization
-// workload. A zero horizon is the baseline (no faults); a positive horizon
-// is the faulted arm, whose crash and straggler schedule over the platform's
-// crash targets (one replica per Spanner group) spans it. The arm builds its
-// own environment and kernel and touches no study state, so distinct
-// platforms may run concurrently.
-func runResilienceArm(cfg StudyConfig, p taxonomy.Platform, horizon time.Duration) (resilienceArm, error) {
-	seed := cfg.Seed + platformOffset(p)
-	env := newPlatformEnv(p, seed, cfg.TraceRate, cfg.Obs)
-	eng := faults.NewEngine(env.K)
-	opts := workload.ClosedLoopOpts{Shape: cfg.Shape}
-	var (
-		start         func() *workload.Run
-		crash         []string
-		stragglerProb = cfg.Faults.StragglerProb
-	)
-	switch p {
-	case taxonomy.Spanner:
-		scfg := spanner.DefaultConfig()
-		scfg.RPC = resilienceRPCPolicy()
-		db, err := spanner.New(env, scfg)
-		if err != nil {
-			return resilienceArm{}, err
-		}
-		db.RegisterFaultTargets(eng)
-		crash = db.CrashTargets(1)
-		start = func() *workload.Run {
-			return workload.Spanner(env, db, workload.DefaultSpannerMix(), cfg.Clients, cfg.Ops.Spanner, opts)
-		}
-	case taxonomy.BigTable:
-		db, err := bigtable.New(env, bigtable.DefaultConfig())
-		if err != nil {
-			return resilienceArm{}, err
-		}
-		db.RegisterFaultTargets(eng)
-		crash, stragglerProb = db.CrashTargets(), 0
-		start = func() *workload.Run {
-			return workload.BigTable(env, db, workload.DefaultBigTableMix(), cfg.Clients, cfg.Ops.BigTable, opts)
-		}
-	case taxonomy.BigQuery:
-		qcfg := bigquery.DefaultConfig()
-		qcfg.RPC = resilienceRPCPolicy()
-		e, err := bigquery.New(env, qcfg)
-		if err != nil {
-			return resilienceArm{}, err
-		}
-		e.RegisterFaultTargets(eng)
-		crash = e.CrashTargets()
-		start = func() *workload.Run {
-			return workload.BigQuery(env, e, workload.DefaultBigQueryMix(), cfg.Clients, cfg.Ops.BigQuery, opts)
-		}
-	default:
-		return resilienceArm{}, fmt.Errorf("experiments: unknown platform %q", p)
-	}
-	if horizon > 0 {
-		registerNetFaults(eng, env.Net, cfg.Seed)
-		eng.InjectAll(faults.GenerateSchedule(sorted(crash), cfg.Faults.schedule(horizon, seed, stragglerProb)))
-	}
-	return measureResilience(p, env, start(), eng, horizon > 0), nil
-}
-
-// measureResilience drains the scheduled workload and condenses it into an
-// arm-local result. Elapsed is the instant the workload drains, not the
+// workload under the fault-injected arms' client policy and the study's
+// arrival shape, and condenses it into an arm-local result. A zero horizon
+// is the baseline (no faults); a positive horizon is the faulted arm (see
+// runClosedLoop). Elapsed is the instant the workload drains, not the
 // kernel's final time: recovery events from the fault schedule may fire
 // after the last operation.
-func measureResilience(p taxonomy.Platform, env *platform.Env, run *workload.Run, eng *faults.Engine, faulted bool) resilienceArm {
-	var elapsed time.Duration
-	env.K.Go("resilience-measure", func(mp *sim.Proc) {
-		mp.Wait(run.Done)
-		elapsed = mp.Now()
-	})
-	env.Obs.Start(env.K)
-	env.K.Run()
+func runResilienceArm(cfg StudyConfig, p taxonomy.Platform, horizon time.Duration) (resilienceArm, error) {
+	a, err := runClosedLoop(cfg, p, resilienceRPCPolicy(), horizon)
+	if err != nil {
+		return resilienceArm{}, err
+	}
 	row := ResilienceRow{
 		Platform: p,
-		Faulted:  faulted,
-		Ops:      run.Completed,
-		Errors:   len(run.Errors),
-		Elapsed:  elapsed,
+		Faulted:  horizon > 0,
+		Ops:      a.run.Completed,
+		Errors:   len(a.run.Errors),
+		Elapsed:  a.elapsed,
 	}
 	if row.Ops > 0 {
 		row.Availability = float64(row.Ops-row.Errors) / float64(row.Ops)
 	}
-	if elapsed > 0 {
-		row.GoodputOpsPerSec = float64(row.Ops-row.Errors) / elapsed.Seconds()
+	if row.Elapsed > 0 {
+		row.GoodputOpsPerSec = float64(row.Ops-row.Errors) / row.Elapsed.Seconds()
 	}
 	lat := &stats.Summary{}
-	traces := env.Tracer.Sampled()
+	traces := a.env.Tracer.Sampled()
 	for _, t := range traces {
 		lat.Add((t.End - t.Start).Seconds())
 	}
@@ -228,14 +161,14 @@ func measureResilience(p taxonomy.Platform, env *platform.Env, run *workload.Run
 		row.P99 = time.Duration(lat.Quantile(0.99) * float64(time.Second))
 		row.P999 = time.Duration(lat.Quantile(0.999) * float64(time.Second))
 	}
-	arm := resilienceArm{Row: row, Series: env.Obs.Snapshot()}
-	if faulted {
-		arm.Row.FaultsApplied = len(eng.Applied)
-		arm.Row.FaultEvents = eng.Applied
+	arm := resilienceArm{Row: row, Series: a.env.Obs.Snapshot()}
+	if row.Faulted {
+		arm.Row.FaultsApplied = len(a.eng.Applied)
+		arm.Row.FaultEvents = a.eng.Applied
 		arm.Traces = traces
-		arm.Marks = faultMarks(eng)
+		arm.Marks = faultMarks(a.eng)
 	}
-	return arm
+	return arm, nil
 }
 
 // RenderResilience renders the study as a fixed-width table with a per-row

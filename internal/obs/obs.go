@@ -250,7 +250,7 @@ func (r *Registry) AttachProfile(prefix string, each func(emit func(name string,
 }
 
 // sample records one point on every series at virtual time t. Called by the
-// kernel-scheduled sampler tick (see sampler.go).
+// kernel-scheduled sampler tick (see Start).
 func (r *Registry) sample(t time.Duration) {
 	for _, c := range r.counters {
 		c.pts = append(c.pts, Point{T: t, V: c.v})

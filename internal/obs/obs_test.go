@@ -19,10 +19,10 @@ func TestCounterGaugeSampling(t *testing.T) {
 	c.Inc()
 	g.Set(10)
 	g.Add(-4)
-	r.SampleAt(time.Millisecond)
+	r.sample(time.Millisecond)
 	level = 9
 	c.Inc()
-	r.SampleAt(2 * time.Millisecond)
+	r.sample(2 * time.Millisecond)
 
 	snap := r.Snapshot()
 	want := map[string][]Point{
@@ -54,7 +54,7 @@ func TestSnapshotSortedByName(t *testing.T) {
 	r.Counter("z").Inc()
 	r.Counter("a").Inc()
 	r.Gauge("m").Set(1)
-	r.SampleAt(time.Millisecond)
+	r.sample(time.Millisecond)
 	snap := r.Snapshot()
 	for i := 1; i < len(snap); i++ {
 		if snap[i-1].Name >= snap[i].Name {
@@ -71,10 +71,10 @@ func TestHistogramQuantiles(t *testing.T) {
 	for _, v := range []int64{10, 3, 7, 1, 9, 2, 8, 4, 6, 5} {
 		h.Record(v)
 	}
-	r.SampleAt(time.Millisecond)
+	r.sample(time.Millisecond)
 	// Window resets between ticks: a second interval with one observation.
 	h.Record(42)
-	r.SampleAt(2 * time.Millisecond)
+	r.sample(2 * time.Millisecond)
 
 	got := map[string][]Point{}
 	for _, s := range r.Snapshot() {
@@ -109,7 +109,7 @@ func TestHistogramOverflowCountsDropped(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		h.Record(i)
 	}
-	r.SampleAt(time.Millisecond)
+	r.sample(time.Millisecond)
 	got := map[string][]Point{}
 	for _, s := range r.Snapshot() {
 		got[s.Name] = s.Points
@@ -135,8 +135,7 @@ func TestNilRegistryAndHandlesAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Record(1)
 	h.RecordSince(0, time.Millisecond)
-	r.SampleAt(time.Millisecond)
-	r.Start(nil)
+	Start(nil, r)
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", snap)
 	}
@@ -167,14 +166,14 @@ func TestProfileSourceEmitsDynamicSeries(t *testing.T) {
 			emit(c.name, c.v)
 		}
 	})
-	r.SampleAt(time.Millisecond)
+	r.sample(time.Millisecond)
 	// A new category appears mid-run, as a real continuous profiler would see.
 	cats = append(cats, struct {
 		name string
 		v    int64
 	}{"rpc", 50})
 	cats[0].v = 150
-	r.SampleAt(2 * time.Millisecond)
+	r.sample(2 * time.Millisecond)
 
 	got := map[string][]Point{}
 	for _, s := range r.Snapshot() {
@@ -207,7 +206,7 @@ func TestSamplerTicksOnKernel(t *testing.T) {
 			c.Inc()
 		}
 	})
-	r.Start(k)
+	Start(k, r)
 	end := k.Run()
 	if end < 5*time.Millisecond {
 		t.Fatalf("kernel ended at %v, want >= 5ms", end)
@@ -230,12 +229,42 @@ func TestSamplerTicksOnKernel(t *testing.T) {
 	}
 }
 
+// TestStartSharesOneTick starts two registries (and a skipped nil one) on
+// one kernel: both sample at the same instants, and the run still ends.
+func TestStartSharesOneTick(t *testing.T) {
+	k := sim.New()
+	a := NewRegistry(Config{Interval: time.Millisecond})
+	b := NewRegistry(Config{Interval: time.Millisecond})
+	ca, cb := a.Counter("a"), b.Counter("b")
+	k.Go("worker", func(p *sim.Proc) {
+		for i := 0; i < 3; i++ {
+			p.Sleep(time.Millisecond)
+			ca.Inc()
+			cb.Add(2)
+		}
+	})
+	Start(k, a, nil, b)
+	k.Run()
+	pa, pb := a.Snapshot()[0].Points, b.Snapshot()[0].Points
+	if len(pa) < 3 || len(pa) != len(pb) {
+		t.Fatalf("registries took %d and %d samples, want the same count >= 3", len(pa), len(pb))
+	}
+	for i := range pa {
+		if pa[i].T != pb[i].T || pb[i].V != 2*pa[i].V {
+			t.Fatalf("sample %d: %+v vs %+v, want one instant and twice the value", i, pa[i], pb[i])
+		}
+	}
+	if pa[len(pa)-1].V != 3 {
+		t.Errorf("final sample = %d, want 3", pa[len(pa)-1].V)
+	}
+}
+
 func TestMarshalSeriesDeterministic(t *testing.T) {
 	mk := func() []byte {
 		r := NewRegistry(Config{})
 		r.Counter("a").Add(2)
 		r.Gauge("b").Set(3)
-		r.SampleAt(time.Millisecond)
+		r.sample(time.Millisecond)
 		data, err := MarshalSeries(r.Snapshot())
 		if err != nil {
 			t.Fatal(err)

@@ -1,15 +1,12 @@
 package obs
 
-import (
-	"time"
+import "hyperprof/internal/sim"
 
-	"hyperprof/internal/sim"
-)
-
-// Start schedules the registry's sampling tick on the kernel. The first
-// sample is taken at virtual time zero (after same-instant events already
-// scheduled), then every Interval for as long as the simulation has pending
-// work.
+// Start schedules one sampling tick on the kernel that samples every non-nil
+// registry in regs; with none it schedules nothing. The registries share the
+// first one's Interval. The first sample is taken at virtual time zero
+// (after same-instant events already scheduled), then every Interval for as
+// long as the simulation has pending work.
 //
 // Termination: the tick reschedules itself only while the kernel still has
 // pending events *besides* the tick itself. Processes are woken exclusively
@@ -19,25 +16,30 @@ import (
 // this is deliberately not a Live()-based test: server worker processes park
 // on their request queues for the whole run, so live-process count never
 // reaches zero in a healthy simulation.
-func (r *Registry) Start(k *sim.Kernel) {
-	if r == nil {
+//
+// Registries on one kernel must share one Start call: a tick per registry
+// would always see the other registries' pending ticks, so none would ever
+// stop and the run would never end.
+func Start(k *sim.Kernel, regs ...*Registry) {
+	var live []*Registry
+	for _, r := range regs {
+		if r != nil {
+			live = append(live, r)
+		}
+	}
+	if len(live) == 0 {
 		return
 	}
-	k.Schedule(0, func() { r.tick(k) })
-}
-
-func (r *Registry) tick(k *sim.Kernel) {
-	r.sample(k.Now())
-	if k.PendingEvents() > 0 {
-		k.Schedule(r.cfg.Interval, func() { r.tick(k) })
+	interval := live[0].cfg.Interval
+	var tick func()
+	tick = func() {
+		t := k.Now()
+		for _, r := range live {
+			r.sample(t)
+		}
+		if k.PendingEvents() > 0 {
+			k.Schedule(interval, tick)
+		}
 	}
-}
-
-// SampleAt takes one explicit sample at virtual time t, for callers that
-// want a final post-run data point in addition to the periodic ticks.
-func (r *Registry) SampleAt(t time.Duration) {
-	if r == nil {
-		return
-	}
-	r.sample(t)
+	k.Schedule(0, tick)
 }

@@ -69,8 +69,9 @@ func NewEnvOn(k *sim.Kernel, seed uint64, traceRate int) *Env {
 // sampling tick. Platform constructors add their own series when they see a
 // non-nil env.Obs, so EnableObs must run before the platform is built — and
 // after any env.Net replacement, since the network holds its own handles.
-// The sampler itself starts when the caller invokes env.Obs.Start(env.K)
-// (typically right before Run), so quiescent setup work is not sampled.
+// The sampler itself starts when the caller invokes obs.Start(env.K,
+// env.Obs) (typically right before Run; one call for every registry on the
+// kernel), so quiescent setup work is not sampled.
 func (e *Env) EnableObs(cfg obs.Config) *obs.Registry {
 	r := obs.NewRegistry(cfg)
 	e.Obs = r

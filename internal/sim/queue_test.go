@@ -69,6 +69,19 @@ func TestSleepParkResumeAllocFree(t *testing.T) {
 	if avg > 25 {
 		t.Fatalf("sleep/park/resume allocated %.0f objects across %d cycles, want setup-only (<=25)", avg, cycles)
 	}
+	// Exactly, in steady state: one long-lived sleeper driven in slices of
+	// virtual time pays nothing per round trip. The sleeper stays parked
+	// when the test ends, as processes do when a run ends.
+	k := New()
+	k.Go("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	k.RunUntil(cycles * time.Microsecond)
+	if avg := testing.AllocsPerRun(5, func() { k.RunUntil(k.Now() + cycles*time.Microsecond) }); avg != 0 {
+		t.Fatalf("steady-state sleep/park/resume allocated %.2f objects per %d cycles, want 0", avg, cycles)
+	}
 }
 
 // TestScheduleStormDeterminism schedules a large randomized event storm twice

@@ -22,8 +22,9 @@ import (
 func (db *DB) SetRecorder(h *check.History) { db.rec = h }
 
 // Read performs a point read of row `row` in group g, returning the value.
-// A StrongReadFrac fraction of reads (decided by the strong argument)
-// confirms the leader's lease with a quorum round first. The returned bytes
+// A strong read confirms the leader's lease with a quorum round first; the
+// caller decides which reads are strong (the workload mixes draw it from
+// SpannerMix.StrongReadFrac). The returned bytes
 // are shared with the deployment (a committed value, or a window of the
 // bootstrap ramp) and are read-only: callers must not write into them.
 func (db *DB) Read(p *sim.Proc, tr *trace.Trace, g, row int, strong bool) ([]byte, error) {

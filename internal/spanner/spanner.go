@@ -35,8 +35,6 @@ type Config struct {
 	// RowsPerGroup and RowBytes size the dataset.
 	RowsPerGroup int
 	RowBytes     int64
-	// StrongReadFrac is the fraction of reads that confirm a quorum lease.
-	StrongReadFrac float64
 	// CompactionEvery triggers a group compaction after this many commits.
 	CompactionEvery int
 	// QueryScanRows is the number of rows a SQL query scans.
@@ -79,7 +77,6 @@ func DefaultConfig() Config {
 		Regions:         3,
 		RowsPerGroup:    4000,
 		RowBytes:        1024,
-		StrongReadFrac:  0.15,
 		CompactionEvery: 10,
 		QueryScanRows:   200,
 		Seed:            1,

@@ -192,52 +192,16 @@ func Overload(env *platform.Env, cfg OverloadConfig,
 		rng := env.RNG.Fork()
 		prepare := setup(tn.Name, rng)
 		baseGap := float64(time.Second) / tn.RatePerSec
-		shaped := cfg.Shape.enabled()
-		sh := cfg.Shape.withDefaults()
-		maxMult := sh.maxMult()
-		var burst *burstEnv
-		if shaped && sh.Burst {
-			burst = newBurstEnv(rng, sh)
-		}
-		// nextArrival sleeps until the tenant's next accepted arrival or the
-		// horizon, whichever comes first. Unshaped it is the legacy single Exp
-		// gap; shaped it thins an envelope process at the peak rate, exactly
-		// as openLoop does, with the flash-crowd multiplier folded into the
-		// candidate rate so SetRateMult keeps working mid-run.
-		nextArrival := func(p *sim.Proc) bool {
-			for {
-				gap := baseGap / run.mult[tn.Name]
-				if shaped {
-					gap /= maxMult
-				}
-				p.Sleep(time.Duration(rng.Exp(gap)))
-				if p.Now() >= cfg.Duration {
-					return false
-				}
-				if !shaped {
-					return true
-				}
-				m := 1.0
-				if burst != nil {
-					m *= burst.mult(p.Now())
-				}
-				if sh.Diurnal {
-					m *= sh.diurnalMult(p.Now())
-				}
-				if rng.Float64()*maxMult < m {
-					return true
-				}
-			}
-		}
+		// The flash-crowd multiplier is re-read for every candidate, so
+		// SetRateMult takes effect mid-run.
+		gap := func() float64 { return baseGap / run.mult[tn.Name] }
+		arrive := cfg.Shape.arrivals(rng)
 		env.K.Go(fmt.Sprintf("overload-%s-arrivals", tn.Name), func(p *sim.Proc) {
 			defer func() {
 				run.gensLeft--
 				run.maybeFinish()
 			}()
-			for {
-				if !nextArrival(p) {
-					return
-				}
+			for arrive(p, gap, cfg.Duration) {
 				at := p.Now()
 				st.Arrivals++
 				run.win(at).Arrivals++

@@ -1,9 +1,13 @@
 // Package workload drives the platform simulations with calibrated
 // operation mixes — the synthetic stand-in for the live production traffic
-// the paper profiles (see the substitution table in DESIGN.md). Each driver
-// spawns closed-loop clients that issue traced operations with exponential
-// think times until a global budget is exhausted, then shuts the platform
-// down so the simulation drains.
+// the paper profiles (see the substitution table in DESIGN.md). Each
+// platform has one operation source (SpannerArrivals, BigTableArrivals,
+// BigQueryArrivals) and three arrival models drive it: closed-loop clients
+// that issue traced operations with exponential think times until a global
+// budget is exhausted (closedLoop), open-loop Poisson arrivals (openLoop),
+// and multi-tenant overload (Overload). The open-loop models share one
+// arrival clock and every shaped model one envelope (see ArrivalShape).
+// Drivers shut the platform down once their work drains.
 package workload
 
 import (
@@ -58,46 +62,19 @@ func DefaultSpannerMix() SpannerMix {
 // shape the clients' think times; omitted, the legacy homogeneous Exp
 // schedule is reproduced exactly.
 func Spanner(env *platform.Env, db *spanner.DB, mix SpannerMix, clients, total int, opts ...ClosedLoopOpts) *Run {
-	run := &Run{Done: sim.NewSignal(env.K)}
-	remaining := total
-	bar := sim.NewBarrier(env.K, clients)
-	for c := 0; c < clients; c++ {
-		rng := env.RNG.Fork()
+	source := func(rng *stats.RNG) func() func(p *sim.Proc) error {
 		picker := stats.NewWeighted(rng, []float64{mix.Reads, mix.Writes, mix.Queries})
-		think := closedLoopShape(opts).thinkShaper(rng)
-		env.K.Go(fmt.Sprintf("spanner-client-%d", c), func(p *sim.Proc) {
-			defer bar.Done()
-			val := []byte("spanner-workload-value-0123456789abcdef")
-			for remaining > 0 {
-				remaining--
-				g := rng.Intn(db.NumGroups())
-				row := db.PickRow()
-				tr := env.Tracer.Start(taxonomy.Spanner, p.Now())
-				var err error
-				switch picker.Next() {
-				case 0:
-					strong := rng.Bool(mix.StrongReadFrac)
-					_, err = db.Read(p, tr, g, row, strong)
-				case 1:
-					err = db.Commit(p, tr, g, row, val)
-				default:
-					_, err = db.Query(p, tr, g, row)
-				}
-				env.Tracer.Finish(tr, p.Now())
-				run.Completed++
-				if err != nil {
-					run.fail("spanner", err)
-				}
-				p.Sleep(think(p.Now(), float64(time.Millisecond)))
-			}
-		})
+		val := []byte("spanner-workload-value-0123456789abcdef")
+		return func() func(p *sim.Proc) error {
+			g := rng.Intn(db.NumGroups())
+			row := db.PickRow()
+			op := picker.Next()
+			// Unlike SpannerArrivals, only a read draws its strong flag.
+			strong := op == 0 && rng.Bool(mix.StrongReadFrac)
+			return spannerOp(env, db, op, g, row, strong, val)
+		}
 	}
-	env.K.Go("spanner-shutdown", func(p *sim.Proc) {
-		p.WaitBarrier(bar)
-		db.Stop()
-		run.Done.Fire()
-	})
-	return run
+	return closedLoop(env, "spanner", clients, total, time.Millisecond, opts, db.Stop, source)
 }
 
 // BigTableMix is the BigTable operation mix.
@@ -110,46 +87,10 @@ func DefaultBigTableMix() BigTableMix {
 	return BigTableMix{Gets: 0.55, Puts: 0.35, Scans: 0.10}
 }
 
-// BigTable schedules a BigTable workload.
+// BigTable schedules a BigTable workload (see Spanner).
 func BigTable(env *platform.Env, db *bigtable.DB, mix BigTableMix, clients, total int, opts ...ClosedLoopOpts) *Run {
-	run := &Run{Done: sim.NewSignal(env.K)}
-	remaining := total
-	bar := sim.NewBarrier(env.K, clients)
-	for c := 0; c < clients; c++ {
-		rng := env.RNG.Fork()
-		picker := stats.NewWeighted(rng, []float64{mix.Gets, mix.Puts, mix.Scans})
-		think := closedLoopShape(opts).thinkShaper(rng)
-		env.K.Go(fmt.Sprintf("bigtable-client-%d", c), func(p *sim.Proc) {
-			defer bar.Done()
-			val := []byte("bigtable-workload-value-0123456789abcdef")
-			for remaining > 0 {
-				remaining--
-				t := rng.Intn(db.NumTablets())
-				row := db.PickRow()
-				tr := env.Tracer.Start(taxonomy.BigTable, p.Now())
-				var err error
-				switch picker.Next() {
-				case 0:
-					_, err = db.Get(p, tr, t, row)
-				case 1:
-					err = db.Put(p, tr, t, row, val)
-				default:
-					_, err = db.Scan(p, tr, t, row)
-				}
-				env.Tracer.Finish(tr, p.Now())
-				run.Completed++
-				if err != nil {
-					run.fail("bigtable", err)
-				}
-				p.Sleep(think(p.Now(), float64(time.Millisecond)))
-			}
-		})
-	}
-	env.K.Go("bigtable-shutdown", func(p *sim.Proc) {
-		p.WaitBarrier(bar)
-		run.Done.Fire()
-	})
-	return run
+	return closedLoop(env, "bigtable", clients, total, time.Millisecond, opts, nil,
+		BigTableArrivals(env, db, mix, "bigtable-workload-value-0123456789abcdef"))
 }
 
 // BigQueryMix is the BigQuery query mix.
@@ -163,42 +104,43 @@ func DefaultBigQueryMix() BigQueryMix {
 	return BigQueryMix{ScanAgg: 0.50, Join: 0.35, Report: 0.15}
 }
 
-// BigQuery schedules a BigQuery workload.
+// BigQuery schedules a BigQuery workload (see Spanner).
 func BigQuery(env *platform.Env, e *bigquery.Engine, mix BigQueryMix, clients, total int, opts ...ClosedLoopOpts) *Run {
+	return closedLoop(env, "bigquery", clients, total, 5*time.Millisecond, opts, e.Stop, BigQueryArrivals(env, e, mix))
+}
+
+// closedLoop is the one closed-loop driver behind Spanner, BigTable and
+// BigQuery: clients processes named "<name>-client-<i>", each with its own
+// forked RNG bound to source, issue operations until the shared budget of
+// total is spent, thinking an Exp(think) time (shaped by opts) after each.
+// stop, when non-nil, shuts the platform down once every client has exited.
+func closedLoop(env *platform.Env, name string, clients, total int, think time.Duration, opts []ClosedLoopOpts,
+	stop func(), source func(rng *stats.RNG) func() func(p *sim.Proc) error) *Run {
 	run := &Run{Done: sim.NewSignal(env.K)}
 	remaining := total
 	bar := sim.NewBarrier(env.K, clients)
 	for c := 0; c < clients; c++ {
 		rng := env.RNG.Fork()
-		picker := stats.NewWeighted(rng, []float64{mix.ScanAgg, mix.Join, mix.Report})
-		think := closedLoopShape(opts).thinkShaper(rng)
-		env.K.Go(fmt.Sprintf("bigquery-client-%d", c), func(p *sim.Proc) {
+		next := source(rng)
+		thinkFor := closedLoopShape(opts).thinkShaper(rng)
+		env.K.Go(fmt.Sprintf("%s-client-%d", name, c), func(p *sim.Proc) {
 			defer bar.Done()
 			for remaining > 0 {
 				remaining--
-				q := bigquery.Query{Threshold: int64(rng.Intn(900))}
-				switch picker.Next() {
-				case 0:
-					q.Kind = bigquery.ScanAgg
-				case 1:
-					q.Kind = bigquery.JoinQuery
-				default:
-					q.Kind = bigquery.Report
-				}
-				tr := env.Tracer.Start(taxonomy.BigQuery, p.Now())
-				_, err := e.Run(p, tr, q)
-				env.Tracer.Finish(tr, p.Now())
+				err := next()(p)
 				run.Completed++
 				if err != nil {
-					run.fail("bigquery", err)
+					run.fail(name, err)
 				}
-				p.Sleep(think(p.Now(), float64(5*time.Millisecond)))
+				p.Sleep(thinkFor(p.Now(), float64(think)))
 			}
 		})
 	}
-	env.K.Go("bigquery-shutdown", func(p *sim.Proc) {
+	env.K.Go(name+"-shutdown", func(p *sim.Proc) {
 		p.WaitBarrier(bar)
-		e.Stop()
+		if stop != nil {
+			stop()
+		}
 		run.Done.Fire()
 	})
 	return run
@@ -224,10 +166,9 @@ type OpenLoopResult struct {
 // schedule a pure function of the seed) and returns the operation to run in
 // its own process. shutdown runs after the last operation completes.
 //
-// With opts.Shape enabled the arrival instants come from thinning an
-// envelope Poisson process at the shape's peak rate (see ArrivalShape);
-// with the zero shape the draw sequence is exactly one Exp gap per arrival,
-// unchanged from the legacy driver.
+// The arrival instants come from the shape's arrival clock (see
+// ArrivalShape.arrivals): with the zero shape exactly one Exp gap per
+// arrival, unchanged from the legacy driver.
 func openLoop(env *platform.Env, name string, ratePerSec float64, total int, opts OpenLoopOpts,
 	setup func(rng *stats.RNG) func() func(p *sim.Proc) error, shutdown func()) *OpenLoopResult {
 	lat := opts.Latencies
@@ -261,34 +202,12 @@ func openLoop(env *platform.Env, name string, ratePerSec float64, total int, opt
 			res.Latencies.Add((op2.Now() - start).Seconds())
 		})
 	}
+	arrive := opts.Shape.arrivals(rng)
+	gap := func() float64 { return meanGap }
 	env.K.Go(name+"-arrivals", func(p *sim.Proc) {
-		if !opts.Shape.enabled() {
-			for i := 0; i < total; i++ {
-				p.Sleep(time.Duration(rng.Exp(meanGap)))
-				launch(p)
-			}
-			return
-		}
-		sh := opts.Shape.withDefaults()
-		maxMult := sh.maxMult()
-		candGap := meanGap / maxMult
-		var burst *burstEnv
-		if sh.Burst {
-			burst = newBurstEnv(rng, sh)
-		}
-		for accepted := 0; accepted < total; {
-			p.Sleep(time.Duration(rng.Exp(candGap)))
-			m := 1.0
-			if burst != nil {
-				m *= burst.mult(p.Now())
-			}
-			if sh.Diurnal {
-				m *= sh.diurnalMult(p.Now())
-			}
-			if rng.Float64()*maxMult < m {
-				accepted++
-				launch(p)
-			}
+		for i := 0; i < total; i++ {
+			arrive(p, gap, 0)
+			launch(p)
 		}
 	})
 	env.K.Go(name+"-shutdown", func(p *sim.Proc) {
@@ -323,8 +242,8 @@ func BigQueryOpenLoop(env *platform.Env, e *bigquery.Engine, mix BigQueryMix, ra
 
 // SpannerArrivals is the arrival source of an open-loop Spanner mix. Bound
 // to an RNG, it returns a generator whose every call draws one arrival's
-// group, Zipf row and operation and returns the traced operation; commits
-// write val.
+// group, Zipf row, operation and strong-read flag and returns the traced
+// operation; commits write val.
 func SpannerArrivals(env *platform.Env, db *spanner.DB, mix SpannerMix, val string) func(rng *stats.RNG) func() func(p *sim.Proc) error {
 	return func(rng *stats.RNG) func() func(p *sim.Proc) error {
 		picker := stats.NewWeighted(rng, []float64{mix.Reads, mix.Writes, mix.Queries})
@@ -333,22 +252,27 @@ func SpannerArrivals(env *platform.Env, db *spanner.DB, mix SpannerMix, val stri
 			g := rng.Intn(db.NumGroups())
 			row := db.PickRow()
 			op := picker.Next()
-			strong := rng.Bool(mix.StrongReadFrac)
-			return func(p *sim.Proc) error {
-				tr := env.Tracer.Start(taxonomy.Spanner, p.Now())
-				var err error
-				switch op {
-				case 0:
-					_, err = db.Read(p, tr, g, row, strong)
-				case 1:
-					err = db.Commit(p, tr, g, row, val)
-				default:
-					_, err = db.Query(p, tr, g, row)
-				}
-				env.Tracer.Finish(tr, p.Now())
-				return err
-			}
+			return spannerOp(env, db, op, g, row, rng.Bool(mix.StrongReadFrac), val)
 		}
+	}
+}
+
+// spannerOp is the traced Spanner operation both Spanner sources run: a
+// read (op 0), a commit of val (op 1) or a query.
+func spannerOp(env *platform.Env, db *spanner.DB, op, g, row int, strong bool, val []byte) func(p *sim.Proc) error {
+	return func(p *sim.Proc) error {
+		tr := env.Tracer.Start(taxonomy.Spanner, p.Now())
+		var err error
+		switch op {
+		case 0:
+			_, err = db.Read(p, tr, g, row, strong)
+		case 1:
+			err = db.Commit(p, tr, g, row, val)
+		default:
+			_, err = db.Query(p, tr, g, row)
+		}
+		env.Tracer.Finish(tr, p.Now())
+		return err
 	}
 }
 
