@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"hyperprof/internal/dispatch"
+	"hyperprof/internal/sim"
 )
 
 const workerEnv = "HYPERPROF_DISPATCH_TEST_WORKER"
@@ -63,6 +64,16 @@ func testHandler(kind string, body json.RawMessage) (json.RawMessage, error) {
 		return nil, fmt.Errorf("application rejected %s", string(body))
 	case "panic":
 		panic("deterministic worker panic")
+	case "sim-panic":
+		// The panic fires inside a simulation process, after a park, as a
+		// broken study's would: it must still reach serveOne's recover.
+		k := sim.New()
+		k.Go("faulty", func(p *sim.Proc) {
+			p.Sleep(time.Millisecond)
+			panic("deterministic sim process panic")
+		})
+		k.Run()
+		return json.Marshal("unreachable")
 	case "exit":
 		os.Exit(3)
 	case "crash-once":
@@ -176,6 +187,18 @@ func TestWorkerPanicIsInBandError(t *testing.T) {
 	_, err := p.Run([]dispatch.Unit{{Kind: "panic", Body: raw(`{}`)}})
 	if err == nil || !strings.Contains(err.Error(), "deterministic worker panic") {
 		t.Fatalf("want panic surfaced as in-band error, got %v", err)
+	}
+}
+
+// TestSimProcessPanicIsInBandError checks that a panic inside a simulation
+// process fails the unit in band, like a handler panic, instead of killing
+// the worker: the kernel re-raises it from Run on the handler's goroutine.
+func TestSimProcessPanicIsInBandError(t *testing.T) {
+	p := pool(t, 1, 0, 0)
+	_, err := p.Run([]dispatch.Unit{{Kind: "sim-panic", Body: raw(`{}`)}})
+	if err == nil || !strings.Contains(err.Error(), "worker panic on unit") ||
+		!strings.Contains(err.Error(), "deterministic sim process panic") {
+		t.Fatalf("want sim process panic surfaced as in-band error, got %v", err)
 	}
 }
 

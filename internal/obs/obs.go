@@ -172,14 +172,6 @@ func NewRegistry(cfg Config) *Registry {
 	return &Registry{cfg: cfg.withDefaults(), byName: map[string]bool{}}
 }
 
-// Interval returns the sampling period.
-func (r *Registry) Interval() time.Duration {
-	if r == nil {
-		return 0
-	}
-	return r.cfg.Interval
-}
-
 func (r *Registry) claim(name string) {
 	if r.byName[name] {
 		panic("obs: duplicate series name " + name)

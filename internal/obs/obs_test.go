@@ -139,9 +139,6 @@ func TestNilRegistryAndHandlesAreNoOps(t *testing.T) {
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatalf("nil registry snapshot = %v, want nil", snap)
 	}
-	if r.Interval() != 0 {
-		t.Fatalf("nil registry interval = %v, want 0", r.Interval())
-	}
 }
 
 func TestDuplicateNamePanics(t *testing.T) {

@@ -90,3 +90,51 @@ func TestDenseTimersAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestGoSpawnAllocs pins the exact allocation cost of one process lifetime,
+// Go plus running a one-sleep process to exit. A process reuses the idle
+// coroutine of one that exited — on its own kernel mid-run, or from the
+// shared pool once a run has drained — and costs only its Proc; the channel
+// handoff the coroutines replaced cost 4 allocations per lifetime, and a
+// fresh coroutine, built only when no idle one exists, costs 12 or 13 (the
+// runtime may reuse an exited goroutine), so either pin fails if reuse
+// breaks. Fleet studies spawn a process per RPC attempt and per served
+// request, so a change to these counts is a change to their allocation
+// profile and should be deliberate.
+func TestGoSpawnAllocs(t *testing.T) {
+	const wantSpawn = 1
+	fn := func(p *Proc) { p.Sleep(time.Microsecond) }
+
+	// Mid-run: a long-lived spawner starts one child per 2µs of virtual
+	// time; each child has exited before the next is started.
+	k := New()
+	k.Go("spawner", func(p *Proc) {
+		for {
+			k.Go("child", fn)
+			p.Sleep(2 * time.Microsecond)
+		}
+	})
+	k.RunUntil(100 * time.Microsecond)
+	if avg := testing.AllocsPerRun(100, func() { k.RunUntil(k.Now() + 2*time.Microsecond) }); avg != wantSpawn {
+		t.Fatalf("a process started mid-run allocated %.2f objects, want exactly %d", avg, wantSpawn)
+	}
+	if k.Live() != 2 {
+		t.Fatalf("%d processes live, want 2 (the spawner and its newest child)", k.Live())
+	}
+
+	// After a drained run: the coroutine comes back from the shared pool.
+	k = New()
+	spawn := func() {
+		k.Go("spawn", fn)
+		k.Run()
+		if k.Live() != 0 {
+			t.Fatalf("%d processes live after the run, want 0", k.Live())
+		}
+	}
+	for i := 0; i < 8; i++ {
+		spawn()
+	}
+	if avg := testing.AllocsPerRun(100, spawn); avg != wantSpawn {
+		t.Fatalf("Go plus a one-sleep process on a drained kernel allocated %.2f objects, want exactly %d", avg, wantSpawn)
+	}
+}

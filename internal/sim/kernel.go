@@ -2,19 +2,20 @@
 //
 // Every platform simulation in this repository (Spanner, BigTable, BigQuery,
 // the accelerated SoC) runs on this kernel. Virtual time is a time.Duration
-// measured from simulation start. Processes are ordinary goroutines that run
-// in strict alternation with the kernel: at any instant exactly one goroutine
-// (either the kernel or a single process) is executing, so simulations are
-// reproducible bit-for-bit and need no locking.
+// measured from simulation start. Processes are coroutines that run in strict
+// alternation with the kernel: at any instant exactly one of the kernel or a
+// single process is executing, and control passes between them by a direct
+// coroutine switch, so simulations are reproducible bit-for-bit and need no
+// locking.
 //
 // A Kernel is single-threaded by construction, but distinct kernels share no
-// state, so independent simulations may run on concurrent goroutines (the
+// simulation state (only a locked pool of idle coroutines, which carry none),
+// so independent simulations may run on concurrent goroutines (the
 // experiments runner exploits this; see DESIGN.md "Performance
 // architecture").
 package sim
 
 import (
-	"fmt"
 	"slices"
 	"time"
 )
@@ -25,14 +26,13 @@ type Kernel struct {
 	now    time.Duration
 	seq    int64
 	events eventQueue
-	yield  chan struct{}
-	live   int // processes started and not yet terminated
-	parked int // processes currently blocked on a primitive
+	live   int          // processes started and not yet terminated
+	idle   []*coroutine // coroutines whose process exited, kept for reuse
 }
 
 // New returns an empty kernel at virtual time zero.
 func New() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{}
 }
 
 // NewHeapOnly returns a kernel whose event queue bypasses the timer wheel
@@ -42,7 +42,7 @@ func New() *Kernel {
 // baseline for the dense-timer benchmarks and the differential ordering
 // tests; simulations should use New.
 func NewHeapOnly() *Kernel {
-	k := &Kernel{yield: make(chan struct{})}
+	k := &Kernel{}
 	k.events.heapOnly = true
 	return k
 }
@@ -103,28 +103,6 @@ func (k *Kernel) wake(at time.Duration, p *Proc) {
 	k.events.push(event{at: at, seq: k.seq, cb: p})
 }
 
-// Go starts a new process executing fn. The process begins at the current
-// virtual time, after already-scheduled events for this instant. Go may be
-// called before Run, from kernel context, or from another process.
-func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
-	k.live++
-	go func() {
-		<-p.resume
-		fn(p)
-		k.live--
-		k.yield <- struct{}{}
-	}()
-	k.wake(k.now, p)
-	return p
-}
-
-// step transfers control to process p until it parks or terminates.
-func (k *Kernel) step(p *Proc) {
-	p.resume <- struct{}{}
-	<-k.yield
-}
-
 // dispatch executes one popped event in kernel context. The type switch
 // compares interface type words — no allocation, no reflection — ordered by
 // steady-state frequency: proc wakes dominate platform simulations,
@@ -142,12 +120,22 @@ func (k *Kernel) dispatch(e event) {
 
 // Run executes events until the event queue is empty. It returns the virtual
 // time of the last event executed.
+//
+// Once the queue drains, Run hands the coroutines of exited processes to a
+// pool shared by all kernels; processes still parked stay parked and counted
+// by Live.
+//
+// A panic inside a process re-raises from Run (or RunUntil) on the caller's
+// goroutine, where the caller can recover it. The kernel is then left
+// mid-event, with the panicking process neither live nor dead; it must not be
+// run again.
 func (k *Kernel) Run() time.Duration {
 	for k.events.len() > 0 {
 		e := k.events.pop()
 		k.now = e.at
 		k.dispatch(e)
 	}
+	k.releaseIdle()
 	return k.now
 }
 
@@ -504,40 +492,3 @@ func (q *eventHeap) pop() event {
 	q.ev[i] = last
 	return top
 }
-
-// Proc is a simulated process. All Proc methods must be called from within
-// the process's own goroutine (i.e. from the fn passed to Kernel.Go).
-type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
-}
-
-// Name returns the name the process was started with.
-func (p *Proc) Name() string { return p.name }
-
-// Now returns the current virtual time.
-func (p *Proc) Now() time.Duration { return p.k.now }
-
-// park blocks the process until some event resumes it.
-func (p *Proc) park() {
-	p.k.parked++
-	p.k.yield <- struct{}{}
-	<-p.resume
-	p.k.parked--
-}
-
-// Sleep blocks the process for virtual duration d. It rides the wake fast
-// path: the timer is a value-typed event carrying p itself, so a
-// Sleep→park→resume cycle allocates nothing in steady state.
-func (p *Proc) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	k := p.k
-	k.wake(k.now+d, p)
-	p.park()
-}
-
-// String implements fmt.Stringer.
-func (p *Proc) String() string { return fmt.Sprintf("proc(%s)", p.name) }

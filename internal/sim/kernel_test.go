@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 )
@@ -371,11 +373,88 @@ func TestDeadlockLeavesLiveProcs(t *testing.T) {
 	if k.Live() != 1 {
 		t.Fatalf("live = %d, want 1 (deadlocked proc)", k.Live())
 	}
-	s.Fire() // release so the goroutine can exit during test teardown
+	s.Fire() // release the process so it can finish
 	k.Run()
 	if k.Live() != 0 {
 		t.Fatalf("live = %d after fire", k.Live())
 	}
+}
+
+// TestProcPanicSurfacesFromRun checks that a panic inside a process reaches
+// Run's caller on the caller's goroutine, where it can be recovered, instead
+// of killing the program from the process's own stack. The worker protocol
+// relies on this to fail a unit in band when its simulation panics.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	k := New()
+	ran := false
+	k.Go("bystander", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		ran = true
+	})
+	k.Go("faulty", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic("boom")
+	})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		k.Run()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("recovered %v from Run, want \"boom\"", got)
+	}
+	if k.Now() != time.Millisecond {
+		t.Fatalf("panic surfaced at %v, want 1ms", k.Now())
+	}
+	if ran {
+		t.Fatal("an event after the panic ran before Run returned")
+	}
+}
+
+// TestConcurrentKernelsShareIdlePool runs kernels on concurrent goroutines,
+// as the experiments runner does, so their processes take coroutines from and
+// return them to the shared idle pool at the same time. Every run must
+// reproduce the sequential run's event order exactly.
+func TestConcurrentKernelsShareIdlePool(t *testing.T) {
+	run := func(seed int) []time.Duration {
+		k := New()
+		var order []time.Duration
+		for i := 0; i < 50; i++ {
+			d := time.Duration((i*seed)%7+1) * time.Microsecond
+			k.Go("parent", func(p *Proc) {
+				p.Sleep(d)
+				order = append(order, p.Now())
+				k.Go("child", func(c *Proc) {
+					c.Sleep(d)
+					order = append(order, c.Now()+time.Duration(i))
+				})
+			})
+		}
+		k.Run()
+		if k.Live() != 0 {
+			t.Errorf("seed %d: %d processes live after the run", seed, k.Live())
+		}
+		return order
+	}
+	const kernels = 4
+	want := make([][]time.Duration, kernels)
+	for s := range want {
+		want[s] = run(s + 1)
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < kernels; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				if got := run(s + 1); !slices.Equal(got, want[s]) {
+					t.Errorf("seed %d run %d: order differs from the sequential run", s+1, r)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
 }
 
 func TestNestedSpawn(t *testing.T) {

@@ -63,7 +63,7 @@ func TestSleepParkResumeAllocFree(t *testing.T) {
 		k.Run()
 	})
 	// Building the kernel and starting the process costs a fixed handful of
-	// allocations (kernel, proc, channels, goroutine, initial heap growth);
+	// allocations (kernel, proc, coroutine, initial queue growth);
 	// the 2000 sleep cycles themselves must cost none. The old
 	// container/heap queue paid 2 allocs per cycle (~4000 here).
 	if avg > 25 {
